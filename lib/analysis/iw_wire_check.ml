@@ -15,15 +15,12 @@ type ctx = {
 
 let empty_ctx = { cx_desc = (fun _ -> None); cx_block = (fun _ -> None) }
 
-let is_digits s = s <> "" && String.for_all (fun c -> c >= '0' && c <= '9') s
-
 let valid_mip s =
   s = ""
   ||
-  match String.split_on_char '#' s with
-  | [ seg; blk ] -> seg <> "" && blk <> ""
-  | [ seg; blk; off ] -> seg <> "" && blk <> "" && is_digits off
-  | _ -> false
+  match Iw_wire.Mip.parse s with
+  | Some (seg, blk, _) -> seg <> "" && blk <> Iw_wire.Mip.Name ""
+  | None -> false
 
 let wire_fixed_size = function
   | Iw_arch.Char -> 1

@@ -686,27 +686,21 @@ let ptr_to_mip c a =
     let pu =
       if byte_off = 0 then 0
       else begin
-        match Iw_types.locate_byte b.Iw_mem.b_layout byte_off with
-        | Some loc -> loc.Iw_types.l_index
-        | None -> error "ptr_to_mip: address %d falls on alignment padding" a
+        match Iw_types.index_of_byte b.Iw_mem.b_layout byte_off with
+        | -1 -> error "ptr_to_mip: address %d falls on alignment padding" a
+        | i -> i
       end
     in
-    (* Hot path (one call per live pointer translated): plain concatenation
-       rather than Printf. *)
-    if pu = 0 then String.concat "#" [ g.g_name; string_of_int b.Iw_mem.b_serial ]
-    else
-      String.concat "#"
-        [ g.g_name; string_of_int b.Iw_mem.b_serial; string_of_int pu ]
+    Iw_wire.Mip.format g.g_name ~serial:b.Iw_mem.b_serial ~unit:pu
 
 let is_digits s = s <> "" && String.for_all (fun c -> c >= '0' && c <= '9') s
 
 let mip_to_ptr c mip =
   Iw_metrics.incr c.c_instr.i_unswizzles;
   let seg_name, blk, pu =
-    match String.split_on_char '#' mip with
-    | [ s; b ] -> (s, b, 0)
-    | [ s; b; o ] when is_digits o -> (s, b, int_of_string o)
-    | _ -> error "malformed MIP %S" mip
+    match Iw_wire.Mip.parse mip with
+    | Some parsed -> parsed
+    | None -> error "malformed MIP %S" mip
   in
   let g =
     match Hashtbl.find_opt c.c_segs seg_name with
@@ -715,8 +709,9 @@ let mip_to_ptr c mip =
   in
   let b =
     let lookup () =
-      if is_digits blk then Serial_tree.find_opt (int_of_string blk) g.g_blocks
-      else Name_tree.find_opt blk g.g_by_name
+      match blk with
+      | Iw_wire.Mip.Serial serial -> Serial_tree.find_opt serial g.g_blocks
+      | Name name -> Name_tree.find_opt name g.g_by_name
     in
     match lookup () with
     | Some b -> Some b
@@ -738,18 +733,31 @@ let mip_to_ptr c mip =
     (match c.c_monitor with None -> () | Some m -> m.mon_swizzled a);
     a
 
+module Int_tbl = Hashtbl.Make (Int)
+module String_tbl = Hashtbl.Make (String)
+
 (* Pointer-rich data keeps referencing the same objects, so swizzling is
    memoized per diff operation: the first occurrence of an address (or MIP)
    pays the metadata-tree search, repeats are a hash probe. *)
 let memoized_swizzle c =
-  let memo : (int, string) Hashtbl.t = Hashtbl.create 64 in
+  let memo = Int_tbl.create 64 in
   fun a ->
-    match Hashtbl.find_opt memo a with
+    match Int_tbl.find_opt memo a with
     | Some mip -> mip
     | None ->
       let mip = ptr_to_mip c a in
-      Hashtbl.add memo a mip;
+      Int_tbl.add memo a mip;
       mip
+
+let memoized_unswizzle c =
+  let memo = String_tbl.create 64 in
+  fun mip ->
+    match String_tbl.find_opt memo mip with
+    | Some a -> a
+    | None ->
+      let a = mip_to_ptr c mip in
+      String_tbl.add memo mip a;
+      a
 
 (* Open a span that joins the client's active trace — inheriting its
    trace_id and naming it as parent, or minting a fresh trace at top level —
@@ -868,16 +876,17 @@ let apply_update g ~unswizzle (serial, runs) =
     | Some (_, nb) -> Some nb
     | None -> None);
   let lay = b.Iw_mem.b_layout in
-  List.iter
-    (fun (run : Iw_wire.Diff.run) ->
-      let upto = run.start_pu + run.len_pu in
-      if upto > Iw_types.layout_prim_count lay then
-        error "segment %s: run beyond end of block %d" g.g_name serial;
-      let r = Iw_wire.Reader.of_string run.payload in
-      Iw_mem.with_raw c.c_space b.Iw_mem.b_addr (fun bytes base ->
-          Iw_wire.apply_prims r (arch c) lay bytes ~base ~from:run.start_pu ~upto
-            ~unswizzle))
-    runs
+  let pcount = Iw_types.layout_prim_count lay in
+  let arch = arch c in
+  Iw_mem.with_raw c.c_space b.Iw_mem.b_addr (fun bytes base ->
+      List.iter
+        (fun (run : Iw_wire.Diff.run) ->
+          let upto = run.start_pu + run.len_pu in
+          if upto > pcount then
+            error "segment %s: run beyond end of block %d" g.g_name serial;
+          Iw_wire.apply_prims (Iw_wire.Reader.of_string run.payload) arch lay bytes ~base
+            ~from:run.start_pu ~upto ~unswizzle)
+        runs)
 
 let apply_diff_plain g (diff : Iw_wire.Diff.t) =
   let c = g.g_client in
@@ -890,16 +899,7 @@ let apply_diff_plain g (diff : Iw_wire.Diff.t) =
       Iw_types.Registry.adopt g.g_registry serial d;
       Hashtbl.replace g.g_desc_serials d serial)
     diff.new_descs;
-  let unswizzle =
-    let memo : (string, int) Hashtbl.t = Hashtbl.create 64 in
-    fun mip ->
-      match Hashtbl.find_opt memo mip with
-      | Some a -> a
-      | None ->
-        let a = mip_to_ptr c mip in
-        Hashtbl.add memo mip a;
-        a
-  in
+  let unswizzle = memoized_unswizzle c in
   List.iter
     (fun (change : Iw_wire.Diff.block_change) ->
       match change with
@@ -1197,79 +1197,76 @@ let free c a =
 (* Diff collection (paper, Sec. 3.1): word-diff twinned pages, map byte runs
    to blocks and primitive-unit ranges, translate to wire format. *)
 
-(* Primitive containing [off], or the first one after it (skipping alignment
-   padding).  [None] when only trailing padding remains. *)
-let locate_round_up lay off =
-  let size = Iw_types.size lay in
-  let rec go off =
-    if off >= size then None
-    else
-      match Iw_types.locate_byte lay off with
-      | Some loc -> Some loc
-      | None -> go (off + 1)
-  in
-  go off
+(* Index of the primitive containing [off], or of the first one after it
+   (skipping alignment padding); -1 when only trailing padding remains. *)
+let rec index_at_or_after lay off =
+  if off >= Iw_types.size lay then -1
+  else
+    match Iw_types.index_of_byte lay off with
+    | -1 -> index_at_or_after lay (off + 1)
+    | i -> i
 
-(* Primitive containing [off], or the last one before it. *)
-let locate_round_down lay off =
-  let rec go off =
-    if off < 0 then None
-    else
-      match Iw_types.locate_byte lay off with
-      | Some loc -> Some loc
-      | None -> go (off - 1)
-  in
-  go off
+(* Index of the primitive containing [off], or of the last one before it. *)
+let rec index_at_or_before lay off =
+  if off < 0 then -1
+  else
+    match Iw_types.index_of_byte lay off with
+    | -1 -> index_at_or_before lay (off - 1)
+    | i -> i
 
-(* Accumulate per-block primitive ranges for one modified byte run. *)
-let ranges_of_run c per_block (run_addr, run_len) =
-  let run_end = run_addr + run_len in
-  let rec walk a =
+let ranges_of_runs c byte_runs =
+  let per_block = Hashtbl.create 16 in
+  (* Created blocks travel whole in a Create change; blocks freed in this
+     critical section are not transmitted at all. *)
+  let enter b =
+    let g = seg_of_heap c b.Iw_mem.b_heap in
+    let serial = b.Iw_mem.b_serial in
+    let acc =
+      if Hashtbl.mem g.g_created serial || Hashtbl.mem g.g_pending_frees serial then None
+      else
+        match Hashtbl.find_opt per_block serial with
+        | Some (_, ranges) -> Some ranges
+        | None ->
+          let ranges = ref [] in
+          Hashtbl.replace per_block serial (b, ranges);
+          Some ranges
+    in
+    (b, acc)
+  in
+  let cur = ref None in
+  let lookup a =
+    match !cur with
+    | Some (b, _) as hit
+      when a >= b.Iw_mem.b_addr && a < b.Iw_mem.b_addr + b.Iw_mem.b_size ->
+      hit
+    | Some _ | None ->
+      cur := Option.map (fun (b, _) -> enter b) (Iw_mem.find_block c.c_space a);
+      !cur
+  in
+  let rec walk a run_end =
     if a < run_end then begin
-      match Iw_mem.find_block c.c_space a with
-      | Some (b, off) ->
-        let g = seg_of_heap c b.Iw_mem.b_heap in
-        let block_end = b.Iw_mem.b_addr + b.Iw_mem.b_size in
-        let span_end = min run_end block_end in
-        let skip =
-          (* Created blocks travel whole in a Create change; blocks freed in
-             this critical section are not transmitted at all. *)
-          Hashtbl.mem g.g_created b.Iw_mem.b_serial
-          || Hashtbl.mem g.g_pending_frees b.Iw_mem.b_serial
-        in
-        if not skip then begin
+      match lookup a with
+      | Some (b, acc) ->
+        let span_end = min run_end (b.Iw_mem.b_addr + b.Iw_mem.b_size) in
+        (match acc with
+        | None -> ()
+        | Some ranges -> (
           let lay = b.Iw_mem.b_layout in
-          let lo = locate_round_up lay off in
-          let hi = locate_round_down lay (span_end - 1 - b.Iw_mem.b_addr) in
-          match (lo, hi) with
-          | Some lo, Some hi when lo.Iw_types.l_index <= hi.Iw_types.l_index ->
-            let range = (lo.Iw_types.l_index, hi.Iw_types.l_index + 1) in
-            (match Hashtbl.find_opt per_block b.Iw_mem.b_serial with
-            | Some (_, ranges) -> ranges := range :: !ranges
-            | None -> Hashtbl.replace per_block b.Iw_mem.b_serial (b, ref [ range ]))
-          | _ -> ()
-        end;
-        walk span_end
+          let lo = index_at_or_after lay (a - b.Iw_mem.b_addr) in
+          let hi = index_at_or_before lay (span_end - 1 - b.Iw_mem.b_addr) in
+          if lo >= 0 && lo <= hi then ranges := (lo, hi + 1) :: !ranges));
+        walk span_end run_end
       | None -> begin
         (* Free space (e.g. a block freed during this critical section):
            jump to the next live block. *)
         match Iw_mem.next_block c.c_space a with
-        | Some b when b.Iw_mem.b_addr < run_end -> walk b.Iw_mem.b_addr
+        | Some b when b.Iw_mem.b_addr < run_end -> walk b.Iw_mem.b_addr run_end
         | Some _ | None -> ()
       end
     end
   in
-  walk run_addr
-
-(* Sort, merge overlapping/adjacent ranges. *)
-let normalize_ranges ranges =
-  let sorted = List.sort compare ranges in
-  let rec merge = function
-    | (a1, b1) :: (a2, b2) :: rest when a2 <= b1 -> merge ((a1, max b1 b2) :: rest)
-    | r :: rest -> r :: merge rest
-    | [] -> []
-  in
-  merge sorted
+  List.iter (fun (run_addr, run_len) -> walk run_addr (run_addr + run_len)) byte_runs;
+  per_block
 
 let encode_block_runs c ~swizzle b ranges =
   let lay = b.Iw_mem.b_layout in
@@ -1280,17 +1277,21 @@ let encode_block_runs c ~swizzle b ranges =
        fragmenting it into many runs (paper, Sec. 3.3). *)
     if float_of_int covered >= c.c_options.block_no_diff_threshold *. float_of_int pcount
     then [ (0, pcount) ]
-    else ranges
+    else Iw_wire.Diff.normalize_ranges ranges
   in
-  List.map
-    (fun (from, upto) ->
-      let buf = c.c_scratch in
-      Iw_wire.Buf.clear buf;
-      Iw_mem.with_raw c.c_space b.Iw_mem.b_addr (fun bytes base ->
-          Iw_wire.collect_prims buf (arch c) lay bytes ~base ~from ~upto ~swizzle);
-      { Iw_wire.Diff.start_pu = from; len_pu = upto - from; payload = Iw_wire.Buf.contents buf })
-    (normalize_ranges ranges),
-  covered
+  let buf = c.c_scratch and arch = arch c in
+  ( Iw_mem.with_raw c.c_space b.Iw_mem.b_addr (fun bytes base ->
+        List.map
+          (fun (from, upto) ->
+            Iw_wire.Buf.clear buf;
+            Iw_wire.collect_prims buf arch lay bytes ~base ~from ~upto ~swizzle;
+            {
+              Iw_wire.Diff.start_pu = from;
+              len_pu = upto - from;
+              payload = Iw_wire.Buf.contents buf;
+            })
+          ranges),
+    covered )
 
 let collect_diff_plain g =
   let c = g.g_client in
@@ -1337,14 +1338,13 @@ let collect_diff_plain g =
         end)
       g.g_blocks
   | Diffing ->
-    let per_block = Hashtbl.create 16 in
-    List.iter (ranges_of_run c per_block) byte_runs;
+    let per_block = ranges_of_runs c byte_runs in
     (* Emit updates in ascending serial order (address order for segments
        laid out at first caching), which is what the server's version-list
        prediction expects. *)
     let entries =
       Hashtbl.fold (fun serial (b, ranges) acc -> (serial, b, !ranges) :: acc) per_block []
-      |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
+      |> List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b)
     in
     List.iter
       (fun (serial, b, ranges) ->
@@ -1354,7 +1354,7 @@ let collect_diff_plain g =
       entries);
   let creates =
     Hashtbl.fold (fun serial b acc -> (serial, b) :: acc) g.g_created []
-    |> List.sort compare
+    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
     |> List.map (fun (serial, b) ->
            let lay = b.Iw_mem.b_layout in
            let pcount = Iw_types.layout_prim_count lay in

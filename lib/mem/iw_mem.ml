@@ -288,22 +288,24 @@ let barrier ss off len =
 
 let word = Iw_arch.word_size
 
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+
+external get32u : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
+
 (* Word-by-word comparison of a twinned page, extended with run splicing:
    gaps of one or two unchanged words between changed words are folded into
    the surrounding run (paper, Sec. 3.3). Returns byte runs relative to the
-   subsegment, ascending, given the accumulated reversed list. *)
+   subsegment, ascending, given the accumulated reversed list.  Words are
+   compared eight bytes at a time; only a mismatching pair is split into its
+   two words, so the runs are exactly those of a one-word-at-a-time scan. *)
 let diff_page ss page acc =
   match ss.ss_twins.(page) with
   | None -> acc
   | Some twin ->
     let gap = ss.ss_heap.h_space.sp_splice_gap in
+    let bytes = ss.ss_bytes in
     let page_off = page * page_size in
     let base = ss.ss_base + page_off in
-    let words = page_size / word in
-    let changed w =
-      Bytes.get_int32_ne ss.ss_bytes (page_off + (w * word))
-      <> Bytes.get_int32_ne twin (w * word)
-    in
     (* Collect maximal changed word runs with splicing. *)
     let acc = ref acc in
     let run_start = ref (-1) in
@@ -320,15 +322,21 @@ let diff_page ss page acc =
         run_start := -1
       end
     in
-    for w = 0 to words - 1 do
-      if changed w then begin
-        if !run_start < 0 then run_start := w
-        else if w - !last_changed > gap + 1 then begin
-          (* Too many unchanged words in between: close the previous run. *)
-          flush (!last_changed + 1);
-          run_start := w
-        end;
-        last_changed := w
+    let changed w =
+      if !run_start < 0 then run_start := w
+      else if w - !last_changed > gap + 1 then begin
+        (* Too many unchanged words in between: close the previous run. *)
+        flush (!last_changed + 1);
+        run_start := w
+      end;
+      last_changed := w
+    in
+    for pair = 0 to (page_size / (2 * word)) - 1 do
+      let o = pair * 2 * word in
+      if get64u bytes (page_off + o) <> get64u twin o then begin
+        if get32u bytes (page_off + o) <> get32u twin o then changed (2 * pair);
+        if get32u bytes (page_off + o + word) <> get32u twin (o + word) then
+          changed ((2 * pair) + 1)
       end
     done;
     flush (!last_changed + 1);

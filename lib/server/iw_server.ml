@@ -204,9 +204,16 @@ let append_before tail n =
   tail.prev.next <- n;
   tail.prev <- n
 
-let move_to_tail seg n =
-  unlink n;
-  append_before seg.s_tail n
+(* A marker followed directly by another marker or by the tail delimits no
+   block: [collect_changes] walks the same blocks whether it starts there or
+   at the next marker (or the tail), so it can go.  Without this every
+   commit would leave one marker behind for good. *)
+let drop_if_empty seg n =
+  match (n.kind, n.next.kind) with
+  | Marker v, (Marker _ | Tail) ->
+    unlink n;
+    seg.s_markers <- Version_tree.remove v seg.s_markers
+  | _ -> ()
 
 (* Variable-size primitives (pointers and strings) use 4-byte handle slots in
    the packed master copy and keep their payloads in [sb_vars]. *)
@@ -371,6 +378,19 @@ let note_commit_time seg v =
     | Some old -> Hashtbl.remove seg.s_vtimes old
     | None -> ()
 
+(* Cache the changes taking a client from [fst key] to [snd key], evicting
+   the oldest entry once the segment holds [diff_cache_capacity]. *)
+let cache_changes t seg key changes =
+  if t.diff_cache_capacity > 0 then begin
+    if Hashtbl.length seg.s_diff_cache >= t.diff_cache_capacity then begin
+      match Queue.take_opt seg.s_cache_order with
+      | Some old -> Hashtbl.remove seg.s_diff_cache old
+      | None -> ()
+    end;
+    Hashtbl.replace seg.s_diff_cache key changes;
+    Queue.push key seg.s_cache_order
+  end
+
 let apply_diff t seg (diff : Iw_wire.Diff.t) =
   if diff.changes = [] && diff.new_descs = [] then seg.s_version
   else begin
@@ -380,6 +400,14 @@ let apply_diff t seg (diff : Iw_wire.Diff.t) =
     let marker = { prev = seg.s_head; next = seg.s_head; kind = Marker v } in
     append_before seg.s_tail marker;
     seg.s_markers <- Version_tree.add v marker seg.s_markers;
+    (* Take a block's node out of the list, dropping the marker it leaves
+       empty — but not this commit's marker, which is empty until the
+       commit's blocks have moved behind it. *)
+    let detach n =
+      let prev = n.prev in
+      unlink n;
+      if prev != marker then drop_if_empty seg prev
+    in
     List.iter
       (fun (change : Iw_wire.Diff.block_change) ->
         match change with
@@ -426,15 +454,17 @@ let apply_diff t seg (diff : Iw_wire.Diff.t) =
               mark_subblocks sb ~from:run.start_pu ~upto v)
             runs;
           sb.sb_version <- v;
-          move_to_tail seg sb.sb_node
+          detach sb.sb_node;
+          append_before seg.s_tail sb.sb_node
         | Free { serial } ->
           let sb = find_block seg serial in
           seg.s_blocks <- Serial_tree.remove serial seg.s_blocks;
-          unlink sb.sb_node;
+          detach sb.sb_node;
           seg.s_frees <- (serial, v) :: seg.s_frees;
           seg.s_total_units <- seg.s_total_units - sb.sb_pcount;
           seg.s_data_bytes <- seg.s_data_bytes - Bytes.length sb.sb_data)
       diff.changes;
+    drop_if_empty seg marker;
     seg.s_version <- v;
     if Iw_metrics.enabled t.t_metrics then note_commit_time seg v;
     t.t_stats.diffs_applied <- t.t_stats.diffs_applied + 1;
@@ -454,15 +484,7 @@ let apply_diff t seg (diff : Iw_wire.Diff.t) =
     Hashtbl.iter (fun _ c -> c := !c + touched) seg.s_counters;
     (* Cache the writer's diff: subsequent readers one version behind can be
        served without collection (paper, Sec. 3.3, diff caching). *)
-    if t.diff_cache_capacity > 0 then begin
-      if Hashtbl.length seg.s_diff_cache >= t.diff_cache_capacity then begin
-        match Queue.take_opt seg.s_cache_order with
-        | Some key -> Hashtbl.remove seg.s_diff_cache key
-        | None -> ()
-      end;
-      Hashtbl.replace seg.s_diff_cache (v - 1, v) diff.changes;
-      Queue.push (v - 1, v) seg.s_cache_order
-    end;
+    cache_changes t seg (v - 1, v) diff.changes;
     v
   end
 
@@ -580,15 +602,6 @@ let merged_changes sh seg ~since =
              else Hashtbl.replace freed serial ();
              Hashtbl.remove ranges serial))
       per_version;
-    let normalize l =
-      let sorted = List.sort compare l in
-      let rec merge = function
-        | (a1, b1) :: (a2, b2) :: rest when a2 <= b1 -> merge ((a1, max b1 b2) :: rest)
-        | r :: rest -> r :: merge rest
-        | [] -> []
-      in
-      merge sorted
-    in
     let frees =
       Hashtbl.fold (fun serial () acc -> Iw_wire.Diff.Free { serial } :: acc) freed []
     in
@@ -624,7 +637,7 @@ let merged_changes sh seg ~since =
                       len_pu = upto - from;
                       payload = Iw_wire.Buf.contents buf;
                     })
-                  (normalize !r)
+                  (Iw_wire.Diff.normalize_ranges !r)
               in
               [ Iw_wire.Diff.Update { serial; runs } ])
         !order
@@ -656,10 +669,7 @@ let update_for t sh seg ~session ~since =
       | None ->
         t.t_stats.diff_cache_misses <- t.t_stats.diff_cache_misses + 1;
         let changes = collect_changes t sh seg ~since in
-        if t.diff_cache_capacity > 0 then begin
-          Hashtbl.replace seg.s_diff_cache (since, seg.s_version) changes;
-          Queue.push (since, seg.s_version) seg.s_cache_order
-        end;
+        cache_changes t seg (since, seg.s_version) changes;
         changes
     end
   in

@@ -183,37 +183,33 @@ type located = {
   l_off : int;
 }
 
-let locate_byte lay off0 =
-  let rec go lay ~off ~base_off ~base_idx =
-    if off < 0 || off >= lay.lsize then None
+(* Greatest index in [lo, hi) of a field whose offset is <= off, or lo - 1. *)
+let rec field_at fields off lo hi =
+  if lo >= hi then lo - 1
+  else
+    let mid = (lo + hi) / 2 in
+    if fields.(mid).f_off <= off then field_at fields off (mid + 1) hi
+    else field_at fields off lo mid
+
+(* Allocation-free: collection calls this twice per modified run. *)
+let index_of_byte lay off0 =
+  let rec go lay ~off ~base_idx =
+    if off < 0 || off >= lay.lsize then -1
     else
       match lay.shape with
       | L_prim p ->
-        if off < lay.conv.size_of p then
-          Some { l_prim = p; l_index = base_idx; l_off = base_off }
-        else None (* padding inside an aligned prim slot *)
+        if off < lay.conv.size_of p then base_idx else -1 (* padding inside the slot *)
       | L_array { elem; count = _ } ->
         let i = off / elem.lsize in
-        go elem ~off:(off - (i * elem.lsize))
-          ~base_off:(base_off + (i * elem.lsize))
-          ~base_idx:(base_idx + (i * elem.lpcount))
-      | L_struct { fields } ->
-        (* Greatest field whose offset is <= off. *)
-        let n = Array.length fields in
-        let rec search lo hi =
-          if lo >= hi then lo - 1
-          else
-            let mid = (lo + hi) / 2 in
-            if fields.(mid).f_off <= off then search (mid + 1) hi else search lo mid
-        in
-        let i = search 0 n in
-        if i < 0 then None
-        else
+        go elem ~off:(off - (i * elem.lsize)) ~base_idx:(base_idx + (i * elem.lpcount))
+      | L_struct { fields } -> (
+        match field_at fields off 0 (Array.length fields) with
+        | -1 -> -1
+        | i ->
           let f = fields.(i) in
-          go f.f_lay ~off:(off - f.f_off) ~base_off:(base_off + f.f_off)
-            ~base_idx:(base_idx + f.f_pstart)
+          go f.f_lay ~off:(off - f.f_off) ~base_idx:(base_idx + f.f_pstart))
   in
-  go lay ~off:off0 ~base_off:0 ~base_idx:0
+  go lay ~off:off0 ~base_idx:0
 
 let locate_prim lay idx0 =
   if idx0 < 0 || idx0 >= lay.lpcount then
@@ -239,6 +235,9 @@ let locate_prim lay idx0 =
         ~base_idx:(base_idx + f.f_pstart)
   in
   go lay ~idx:idx0 ~base_off:0 ~base_idx:0
+
+let locate_byte lay off =
+  match index_of_byte lay off with -1 -> None | i -> Some (locate_prim lay i)
 
 let fold_prims lay ~from ~upto ~init ~f =
   let rec go lay ~base_off ~base_idx acc =

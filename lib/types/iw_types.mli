@@ -79,6 +79,10 @@ val locate_byte : layout -> int -> located option
 (** [locate_byte lay off] finds the primitive unit whose bytes span local byte
     offset [off].  [None] if [off] falls on alignment padding. *)
 
+val index_of_byte : layout -> int -> int
+(** The [l_index] of [locate_byte lay off], or [-1] where that is [None];
+    allocates nothing. *)
+
 val locate_prim : layout -> int -> located
 (** [locate_prim lay i] finds primitive unit number [i].
     @raise Invalid_argument if [i] is out of range. *)

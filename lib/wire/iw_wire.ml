@@ -7,23 +7,57 @@ let malformed fmt = Format.kasprintf (fun s -> raise (Malformed s)) fmt
    Used for frame checksums on the transport and record checksums in the
    durable store — both ends of the wire must agree on this exact variant. *)
 module Crc32 = struct
-  let table =
-    lazy
-      (Array.init 256 (fun n ->
-           let c = ref n in
-           for _ = 0 to 7 do
-             c := if !c land 1 = 1 then 0xedb88320 lxor (!c lsr 1) else !c lsr 1
-           done;
-           !c))
+  (* Slicing-by-8: table [k] (entries [256k, 256k+255]) holds the CRC of a
+     byte followed by [k] zero bytes, so eight input bytes fold into the
+     running value with eight lookups instead of eight dependent steps.
+     Table 0 is the classic byte-at-a-time table. *)
+  let tables =
+    let t = Array.make 2048 0 in
+    for n = 0 to 255 do
+      let c = ref n in
+      for _ = 0 to 7 do
+        c := if !c land 1 = 1 then 0xedb88320 lxor (!c lsr 1) else !c lsr 1
+      done;
+      t.(n) <- !c
+    done;
+    for i = 256 to 2047 do
+      let prev = t.(i - 256) in
+      t.(i) <- (prev lsr 8) lxor t.(prev land 0xff)
+    done;
+    t
+
+  external get32u : string -> int -> int32 = "%caml_string_get32u"
+
+  external swap32 : int32 -> int32 = "%bswap_int32"
+
+  let get32_le s i =
+    let v = get32u s i in
+    Int32.to_int (if Sys.big_endian then swap32 v else v) land 0xffffffff
 
   let update crc s ~off ~len =
     if off < 0 || len < 0 || off + len > String.length s then
       invalid_arg "Iw_wire.Crc32.update";
-    let table = Lazy.force table in
-    let c = ref (crc lxor 0xffffffff) in
-    for i = off to off + len - 1 do
+    let t = tables in
+    (* Masked so every table index below stays in range. *)
+    let c = ref ((crc lxor 0xffffffff) land 0xffffffff) in
+    let i = ref off in
+    let stop = off + len in
+    while !i + 8 <= stop do
+      let lo = !c lxor get32_le s !i and hi = get32_le s (!i + 4) in
       c :=
-        Array.unsafe_get table ((!c lxor Char.code (String.unsafe_get s i)) land 0xff)
+        Array.unsafe_get t (1792 + (lo land 0xff))
+        lxor Array.unsafe_get t (1536 + ((lo lsr 8) land 0xff))
+        lxor Array.unsafe_get t (1280 + ((lo lsr 16) land 0xff))
+        lxor Array.unsafe_get t (1024 + (lo lsr 24))
+        lxor Array.unsafe_get t (768 + (hi land 0xff))
+        lxor Array.unsafe_get t (512 + ((hi lsr 8) land 0xff))
+        lxor Array.unsafe_get t (256 + ((hi lsr 16) land 0xff))
+        lxor Array.unsafe_get t (hi lsr 24);
+      i := !i + 8
+    done;
+    for j = !i to stop - 1 do
+      c :=
+        Array.unsafe_get t ((!c lxor Char.code (String.unsafe_get s j)) land 0xff)
         lxor (!c lsr 8)
     done;
     !c lxor 0xffffffff
@@ -405,10 +439,93 @@ module Diff = struct
     in
     { from_version; to_version; new_descs; changes }
 
+  let normalize_ranges ranges =
+    let desc (a1, b1) (a2, b2) =
+      if a1 <> a2 then Int.compare a2 a1 else Int.compare b2 b1
+    in
+    let rec descending = function
+      | x :: (y :: _ as rest) -> desc x y <= 0 && descending rest
+      | [ _ ] | [] -> true
+    in
+    (* Walking down from the highest range builds the ascending result.
+       Every range in [acc] starts at or after [a]; one that [a, b) reaches
+       is taken back out and merged into it. *)
+    let rec merge acc = function
+      | [] -> acc
+      | ((a, b) as r) :: rest -> (
+        match acc with
+        | (pa, pb) :: acc' when pa <= b -> merge acc' ((a, max b pb) :: rest)
+        | _ -> merge (r :: acc) rest)
+    in
+    (* Collectors push ranges in address order, so the list usually arrives
+       highest first and needs no sort. *)
+    merge [] (if descending ranges then ranges else List.sort desc ranges)
+
   let pp ppf t =
     Format.fprintf ppf "diff v%d->v%d (%d descs, %d changes, %d payload bytes)"
       t.from_version t.to_version (List.length t.new_descs) (List.length t.changes)
       (payload_bytes t)
+end
+
+module Mip = struct
+  type block =
+    | Serial of int
+    | Name of string
+
+  let rec digits n = if n < 10 then 1 else 1 + digits (n / 10)
+
+  (* Write [n]'s [len] decimal digits ending just before [stop]. *)
+  let rec put_decimal b stop n len =
+    if len > 0 then begin
+      Bytes.unsafe_set b (stop - 1) (Char.unsafe_chr (48 + (n mod 10)));
+      put_decimal b (stop - 1) (n / 10) (len - 1)
+    end
+
+  (* One exact-size allocation: this runs once per pointer translated. *)
+  let format seg ~serial ~unit =
+    if serial < 0 || unit < 0 then invalid_arg "Iw_wire.Mip.format";
+    let ls = String.length seg and ds = digits serial in
+    let du = if unit = 0 then 0 else 1 + digits unit in
+    let b = Bytes.create (ls + 1 + ds + du) in
+    Bytes.blit_string seg 0 b 0 ls;
+    Bytes.unsafe_set b ls '#';
+    put_decimal b (ls + 1 + ds) serial ds;
+    if unit > 0 then begin
+      Bytes.unsafe_set b (ls + 1 + ds) '#';
+      put_decimal b (Bytes.length b) unit (du - 1)
+    end;
+    Bytes.unsafe_to_string b
+
+  (* Value of the decimal digits s.[i, j): -1 when the range is empty or
+     holds a non-digit, -2 when it is all digits but overflows an int. *)
+  let decimal s i j =
+    let rec go k acc =
+      if k = j then acc
+      else
+        let d = Char.code (String.unsafe_get s k) - 48 in
+        if d < 0 || d > 9 then -1
+        else if acc = -2 || acc > (max_int - d) / 10 then go (k + 1) (-2)
+        else go (k + 1) ((acc * 10) + d)
+    in
+    if i >= j then -1 else go i 0
+
+  let parse s =
+    match String.index_opt s '#' with
+    | None -> None
+    | Some h1 -> (
+      let n = String.length s in
+      let h2 = String.index_from_opt s (h1 + 1) '#' in
+      let blk_end = Option.value h2 ~default:n in
+      let unit = match h2 with None -> 0 | Some h2 -> decimal s (h2 + 1) n in
+      match decimal s (h1 + 1) blk_end with
+      | _ when unit < 0 -> None
+      | -2 -> None
+      | serial ->
+        let block =
+          if serial >= 0 then Serial serial
+          else Name (String.sub s (h1 + 1) (blk_end - h1 - 1))
+        in
+        Some (String.sub s 0 h1, block, unit))
 end
 
 (* Primitive translation between local and wire format. *)

@@ -20,7 +20,8 @@ module Crc32 : sig
   (** CRC of a whole string. *)
 
   val update : int -> string -> off:int -> len:int -> int
-  (** Extend a running CRC with [len] bytes of [s] at [off]. *)
+  (** Extend a running CRC with [len] bytes of [s] at [off].  Only the low
+      32 bits of the running value are used. *)
 end
 
 (** Growable write buffer. *)
@@ -161,7 +162,34 @@ module Diff : sig
 
   val decode : Reader.t -> t
 
+  val normalize_ranges : (int * int) list -> (int * int) list
+  (** Sort half-open unit ranges [(from, upto)] and merge overlapping or
+      adjacent ones.  Input already in ascending or descending order is not
+      re-sorted. *)
+
   val pp : Format.formatter -> t -> unit
+end
+
+(** {1 Machine-independent pointers}
+
+    A MIP is ["segment#block"] or ["segment#block#unit"]: the block part is a
+    serial number or a symbolic name, and the unit offset, counted in
+    primitive data units, is omitted when zero (paper, Sec. 2.1). *)
+
+module Mip : sig
+  type block =
+    | Serial of int  (** an all-digits block part *)
+    | Name of string  (** any other block part, possibly empty *)
+
+  val format : string -> serial:int -> unit:int -> string
+  (** [format seg ~serial ~unit] is [Printf.sprintf "%s#%d" seg serial] when
+      [unit = 0], else [Printf.sprintf "%s#%d#%d" seg serial unit].  Raises
+      [Invalid_argument] on a negative serial or unit. *)
+
+  val parse : string -> (string * block * int) option
+  (** Segment, block and unit offset of a MIP; [None] when there is no
+      ['#'], more than two, a unit offset that is not a non-empty decimal,
+      or a decimal that overflows an [int]. *)
 end
 
 (** {1 Primitive translation}

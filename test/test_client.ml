@@ -71,7 +71,22 @@ let test_mip_error_cases () =
         ignore (mip_to_ptr c mip : addr);
         Alcotest.failf "MIP %S accepted" mip
       with Client.Error _ -> ())
-    [ "no-hash"; "cl/mips#999"; "cl/mips#nosuch"; "cl/mips#x#1#2"; "ghost/seg#1"; "cl/mips#x#zz" ];
+    [
+      "no-hash";
+      "cl/mips#999";
+      "cl/mips#nosuch";
+      "cl/mips#x#1#2";
+      "ghost/seg#1";
+      "cl/mips#x#zz";
+      "cl/mips#1#";
+      "cl/mips#1#x";
+      "cl/mips#1#2#3";
+      "cl/mips#-1#2";
+      "cl/mips#1#99999999999999999999";
+      "cl/mips#99999999999999999999";
+    ];
+  Alcotest.(check string) "block 1 formats without its zero offset" "cl/mips#1"
+    (ptr_to_mip c (mip_to_ptr c "cl/mips#x"));
   (* ptr_to_mip on free space is an error. *)
   try
     ignore (ptr_to_mip c 4 : string);

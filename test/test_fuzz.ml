@@ -259,10 +259,80 @@ let test_seeded_fault_convergence () =
           (Client.read_int r (ar + (i * 4)))
       done)
 
+(* A modified byte run may cross from a block into a neighbour that was
+   freed, created, or created and freed again in the same critical section.
+   The collector must cut the run at each block boundary, send the
+   neighbour only as its Free or Create (or not at all), and still produce
+   a diff that checks clean in both directions. *)
+let test_run_spans_created_and_freed_neighbours () =
+  let server = start_server () in
+  let w = checked_client ~arch:Arch.sparc32 server in
+  let r = checked_client ~arch:Arch.alpha64 server in
+  let h = open_segment w "fuzz/adjacent" in
+  let desc = Desc.array Desc.int 4 in
+  let a, x, y =
+    with_write_lock h (fun () ->
+        let a = malloc h desc ~name:"a" in
+        let x = malloc h desc in
+        let y = malloc h desc ~name:"y" in
+        (a, x, y))
+  in
+  Alcotest.(check (list int)) "blocks are adjacent" [ a + 16; x + 16 ] [ x; y ];
+  let hr = open_segment ~create:false r "fuzz/adjacent" in
+  with_read_lock hr ignore;
+  let expect label cells =
+    with_read_lock hr (fun () ->
+        let base name = (Option.get (Client.find_named_block hr name)).Mem.b_addr in
+        List.iter
+          (fun (name, i, v) ->
+            Alcotest.(check int)
+              (Printf.sprintf "%s: %s[%d]" label name i)
+              v
+              (Client.read_int r (base name + (i * 4))))
+          cells)
+  in
+  (* a's last word and x's first word change, then x is freed. *)
+  with_write_lock h (fun () ->
+      Client.write_int w (a + 12) 1;
+      Client.write_int w x 2;
+      free w x);
+  expect "freed neighbour" [ ("a", 3, 1); ("y", 0, 0) ];
+  (* A block created in x's old place, written end to end, between writes
+     to a's last word and y's first. *)
+  with_write_lock h (fun () ->
+      Client.write_int w (a + 12) 3;
+      let c = malloc h desc ~name:"c" in
+      Alcotest.(check int) "new block reuses the freed space" x c;
+      for i = 0 to 3 do
+        Client.write_int w (c + (i * 4)) (10 + i)
+      done;
+      Client.write_int w y 4);
+  expect "created neighbour" [ ("a", 3, 3); ("c", 0, 10); ("c", 3, 13); ("y", 0, 4) ];
+  (* c is freed; a block created and freed again in one critical section
+     leaves changed free space in the middle of the run. *)
+  with_write_lock h (fun () -> free w x);
+  with_write_lock h (fun () ->
+      Client.write_int w (a + 12) 5;
+      let d = malloc h desc in
+      Alcotest.(check int) "ephemeral block reuses the freed space" x d;
+      for i = 0 to 3 do
+        Client.write_int w (d + (i * 4)) (20 + i)
+      done;
+      free w d;
+      Client.write_int w y 6);
+  expect "ephemeral neighbour" [ ("a", 3, 5); ("y", 0, 6) ];
+  with_read_lock hr (fun () ->
+      Alcotest.(check (list (option string)))
+        "reader holds exactly a and y"
+        [ Some "a"; Some "y" ]
+        (List.map (fun b -> b.Mem.b_name) (Client.blocks hr)))
+
 let suite =
   ( "fuzz",
     [
       QCheck_alcotest.to_alcotest prop_random_desc_cross_arch;
       QCheck_alcotest.to_alcotest prop_random_updates_converge_and_survive_checkpoint;
       Alcotest.test_case "seeded fault plan converges" `Quick test_seeded_fault_convergence;
+      Alcotest.test_case "runs spanning created and freed neighbours" `Quick
+        test_run_spans_created_and_freed_neighbours;
     ] )

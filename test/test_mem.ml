@@ -226,6 +226,58 @@ let prop_diff_finds_exact_words =
            (fun (a, l) -> a >= b.Iw_mem.b_addr && a + l <= b.Iw_mem.b_addr + b.Iw_mem.b_size)
            runs)
 
+(* Reference: a one-word-at-a-time scan with the same splice rule, over a
+   subsegment whose twins are all zero. *)
+let word_scan_ref ~gap ~base bytes =
+  let acc = ref [] in
+  for page = 0 to (Bytes.length bytes / Iw_mem.page_size) - 1 do
+    let page_off = page * Iw_mem.page_size in
+    let run_start = ref (-1) and last_changed = ref (-3) in
+    let flush upto =
+      if !run_start >= 0 then begin
+        let s = base + page_off + (!run_start * 4) and e = base + page_off + (upto * 4) in
+        (match !acc with
+        | (ps, pl) :: rest when ps + pl >= s -> acc := (ps, max (ps + pl) e - ps) :: rest
+        | _ -> acc := (s, e - s) :: !acc);
+        run_start := -1
+      end
+    in
+    for w = 0 to (Iw_mem.page_size / 4) - 1 do
+      if Bytes.get_int32_ne bytes (page_off + (w * 4)) <> 0l then begin
+        if !run_start < 0 then run_start := w
+        else if w - !last_changed > gap + 1 then begin
+          flush (!last_changed + 1);
+          run_start := w
+        end;
+        last_changed := w
+      end
+    done;
+    flush (!last_changed + 1)
+  done;
+  List.rev !acc
+
+let prop_diff_matches_word_scan =
+  (* Byte stores at random offsets (a zero store changes nothing) leave
+     mismatches in either half of an eight-byte pair; the runs must be
+     exactly the one-word scan's, splicing included, for every gap. *)
+  QCheck.Test.make ~name:"eight-byte diff yields the one-word scan's runs" ~count:300
+    QCheck.(
+      pair (int_bound 4)
+        (list_of_size Gen.(int_range 0 80) (pair (int_bound ((4 * 4096) - 1)) (int_bound 3))))
+    (fun (gap, stores) ->
+      let sp = Iw_mem.create_space Iw_arch.x86_32 in
+      Iw_mem.set_splice_gap sp gap;
+      let h = Iw_mem.create_heap sp ~seg_id:1 in
+      let b = Iw_mem.alloc h ~serial:1 ~desc_serial:1 (int_lay Iw_arch.x86_32 4096) in
+      Iw_mem.protect h;
+      List.iter
+        (fun (off, v) -> Iw_mem.store_prim sp Iw_arch.Char (b.Iw_mem.b_addr + off) v)
+        stores;
+      let runs = Iw_mem.modified_runs h in
+      Iw_mem.unprotect h;
+      Iw_mem.with_raw sp b.Iw_mem.b_addr (fun bytes off ->
+          runs = word_scan_ref ~gap ~base:(b.Iw_mem.b_addr - off) bytes))
+
 let suite =
   ( "mem",
     [
@@ -244,4 +296,5 @@ let suite =
       Alcotest.test_case "typed accessors" `Quick test_typed_accessors;
       Alcotest.test_case "next_block" `Quick test_next_block;
       QCheck_alcotest.to_alcotest prop_diff_finds_exact_words;
+      QCheck_alcotest.to_alcotest prop_diff_matches_word_scan;
     ] )

@@ -419,6 +419,107 @@ let test_merged_span_updates () =
   end
   | _ -> Alcotest.fail "expected update"
 
+let update_unit ~serial u v =
+  Iw_wire.Diff.Update
+    { serial; runs = [ { Iw_wire.Diff.start_pu = u; len_pu = 1; payload = int_payload ~v0:v 1 } ] }
+
+let test_version_list_retention () =
+  (* Every commit adds a version marker; a marker that no longer precedes
+     any block must go, or the server grows with the commit count. *)
+  let t = Iw_server.create () in
+  let s = hello t in
+  ignore (open_seg t s "seg" : int);
+  let d = register t s "seg" (int_array 4) in
+  ignore (write_diff t s "seg" [ create_block ~serial:1 ~desc_serial:d (int_payload 4) ] : int);
+  let commit i = ignore (write_diff t s "seg" [ update_unit ~serial:1 (i mod 4) i ] : int) in
+  for i = 1 to 1000 do
+    commit i
+  done;
+  let before = Obj.reachable_words (Obj.repr t) in
+  for i = 1001 to 10_000 do
+    commit i
+  done;
+  let after = Obj.reachable_words (Obj.repr t) in
+  if after - before > 1000 then
+    Alcotest.failf "server grew by %d words over 9000 commits (%d -> %d)" (after - before)
+      before after
+
+let test_collect_after_marker_drops () =
+  (* With the diff cache off every update comes from the version list.  For
+     every [since], the changes must name exactly the blocks created,
+     modified or freed after it — however many markers were dropped. *)
+  let t = Iw_server.create ~diff_cache_capacity:0 () in
+  let s = hello t in
+  ignore (open_seg t s "seg" : int);
+  let d = register t s "seg" (int_array 4) in
+  let created = Hashtbl.create 8 and modified = Hashtbl.create 8 and freed = ref [] in
+  let commit changes =
+    let v = write_diff t s "seg" changes in
+    List.iter
+      (function
+        | Iw_wire.Diff.Create { serial; _ } -> Hashtbl.replace created serial v
+        | Update { serial; _ } -> Hashtbl.replace modified serial v
+        | Free { serial } ->
+          Hashtbl.remove created serial;
+          freed := (serial, v) :: !freed)
+      changes
+  in
+  commit (List.init 5 (fun i -> create_block ~serial:(i + 1) ~desc_serial:d (int_payload 4)));
+  let rng = Random.State.make [| 7 |] in
+  let next_serial = ref 6 in
+  for i = 1 to 60 do
+    let live = Hashtbl.fold (fun serial _ acc -> serial :: acc) created [] |> List.sort compare in
+    let pick () = List.nth live (Random.State.int rng (List.length live)) in
+    match Random.State.int rng 6 with
+    | 0 when List.length live > 2 -> commit [ Free { serial = pick () } ]
+    | 1 ->
+      commit [ create_block ~serial:!next_serial ~desc_serial:d (int_payload 4) ];
+      incr next_serial
+    | _ ->
+      (* Possibly the same block twice: its node already sits right behind
+         this commit's marker when the second update moves it. *)
+      commit [ update_unit ~serial:(pick ()) 1 i; update_unit ~serial:(pick ()) 2 i ]
+  done;
+  let version =
+    match Iw_server.handle t (Read_lock { session = s; name = "seg"; version = 0; coherence = Full }) with
+    | R_update diff -> diff.Iw_wire.Diff.to_version
+    | _ -> Alcotest.fail "expected update"
+  in
+  let describe changes =
+    List.map
+      (function
+        | Iw_wire.Diff.Create { serial; _ } -> Printf.sprintf "c%d" serial
+        | Update { serial; _ } -> Printf.sprintf "u%d" serial
+        | Free { serial } -> Printf.sprintf "f%d" serial)
+      changes
+    |> List.sort compare
+  in
+  for since = 0 to version - 1 do
+    let expect =
+      Hashtbl.fold
+        (fun serial cv acc ->
+          if cv > since then Printf.sprintf "c%d" serial :: acc
+          else
+            match Hashtbl.find_opt modified serial with
+            | Some mv when mv > since -> Printf.sprintf "u%d" serial :: acc
+            | Some _ | None -> acc)
+        created []
+      @ List.filter_map
+          (fun (serial, v) -> if v > since then Some (Printf.sprintf "f%d" serial) else None)
+          !freed
+      |> List.sort compare
+    in
+    let s' = hello t in
+    match
+      Iw_server.handle t (Read_lock { session = s'; name = "seg"; version = since; coherence = Full })
+    with
+    | R_update diff ->
+      Alcotest.(check (list string))
+        (Printf.sprintf "changes since %d" since)
+        expect (describe diff.Iw_wire.Diff.changes)
+    | _ -> Alcotest.failf "expected an update since %d" since
+  done
+
 let suite =
   ( "server",
     [
@@ -436,4 +537,6 @@ let suite =
       Alcotest.test_case "stat" `Quick test_stat;
       Alcotest.test_case "checkpoint files" `Quick test_checkpoint_files;
       Alcotest.test_case "merged span updates" `Quick test_merged_span_updates;
+      Alcotest.test_case "version list retention" `Quick test_version_list_retention;
+      Alcotest.test_case "collect after marker drops" `Quick test_collect_after_marker_drops;
     ] )

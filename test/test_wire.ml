@@ -226,6 +226,124 @@ let prop_value_roundtrip =
         xs
         (List.init n Fun.id))
 
+(* Bit-at-a-time CRC-32 (reflected, polynomial 0xEDB88320): the reference
+   the table-driven [Crc32.update] must agree with. *)
+let crc_ref_byte c byte =
+  let c = ref (c lxor byte) in
+  for _ = 0 to 7 do
+    c := if !c land 1 = 1 then 0xedb88320 lxor (!c lsr 1) else !c lsr 1
+  done;
+  !c
+
+let crc_ref s ~off ~len =
+  let c = ref 0xffffffff in
+  for i = off to off + len - 1 do
+    c := crc_ref_byte !c (Char.code s.[i])
+  done;
+  !c lxor 0xffffffff
+
+let test_crc_known_answer () =
+  Alcotest.(check int) "123456789" 0xcbf43926 (Crc32.string "123456789");
+  Alcotest.(check int) "empty" 0 (Crc32.string "");
+  Alcotest.(check int) "reference agrees" 0xcbf43926
+    (crc_ref "123456789" ~off:0 ~len:9)
+
+let prop_crc_every_split =
+  (* Every (off, len) window of a random string, including the unaligned
+     heads and tails around the eight-byte main loop, and every two-part
+     chaining of the whole string. *)
+  QCheck.Test.make ~name:"crc32 matches the bitwise reference on every split" ~count:30
+    QCheck.(string_of_size Gen.(int_range 0 300))
+    (fun s ->
+      let n = String.length s in
+      let windows_ok = ref true in
+      for off = 0 to n do
+        let c = ref 0xffffffff in
+        for len = 0 to n - off do
+          if len > 0 then c := crc_ref_byte !c (Char.code s.[off + len - 1]);
+          if Crc32.update 0 s ~off ~len <> !c lxor 0xffffffff then windows_ok := false
+        done
+      done;
+      let whole = Crc32.string s in
+      let chained_ok =
+        List.for_all
+          (fun k -> Crc32.update (Crc32.update 0 s ~off:0 ~len:k) s ~off:k ~len:(n - k) = whole)
+          (List.init (n + 1) Fun.id)
+      in
+      !windows_ok && chained_ok && whole = crc_ref s ~off:0 ~len:n)
+
+let test_crc_bounds () =
+  Alcotest.check_raises "window past the end" (Invalid_argument "Iw_wire.Crc32.update")
+    (fun () -> ignore (Crc32.update 0 "abc" ~off:2 ~len:2 : int))
+
+let prop_mip_format =
+  QCheck.Test.make ~name:"MIP formatting matches Printf and parses back" ~count:500
+    QCheck.(
+      triple
+        (string_gen_of_size Gen.(int_range 0 12) Gen.(oneofl [ 'a'; 'z'; '/'; '0'; '9'; '-' ]))
+        (oneof [ int_range 0 20; int_range 0 max_int ])
+        (oneof [ int_range 0 20; int_range 0 max_int ]))
+    (fun (seg, serial, unit) ->
+      let mip = Mip.format seg ~serial ~unit in
+      let expect =
+        if unit = 0 then Printf.sprintf "%s#%d" seg serial
+        else Printf.sprintf "%s#%d#%d" seg serial unit
+      in
+      mip = expect && Mip.parse mip = Some (seg, Mip.Serial serial, unit))
+
+let test_mip_parse () =
+  let show = function
+    | None -> "rejected"
+    | Some (seg, Mip.Serial n, u) -> Printf.sprintf "%s|serial %d|%d" seg n u
+    | Some (seg, Mip.Name b, u) -> Printf.sprintf "%s|name %S|%d" seg b u
+  in
+  List.iter
+    (fun (mip, expect) -> Alcotest.(check string) mip expect (show (Mip.parse mip)))
+    [
+      ("seg#12", "seg|serial 12|0");
+      ("seg#12#7", "seg|serial 12|7");
+      ("seg#007#0", "seg|serial 7|0");
+      ("seg#head#3", "seg|name \"head\"|3");
+      ("seg#", "seg|name \"\"|0");
+      (* A block part that is not all digits is a (possibly unknown) name. *)
+      ("a#-1#2", "a|name \"-1\"|2");
+      ("no-hash", "rejected");
+      ("a#1#", "rejected");
+      ("a#1#x", "rejected");
+      ("a#1#2#3", "rejected");
+      ("a#1#-2", "rejected");
+      ("a#1#99999999999999999999", "rejected");
+      ("a#99999999999999999999", "rejected");
+      ("a#99999999999999999999x", "a|name \"99999999999999999999x\"|0");
+    ];
+  Alcotest.check_raises "negative unit" (Invalid_argument "Iw_wire.Mip.format") (fun () ->
+      ignore (Mip.format "s" ~serial:1 ~unit:(-1) : string))
+
+(* Reference: sort with polymorphic compare, then merge overlapping or
+   adjacent ranges pairwise. *)
+let normalize_ref ranges =
+  let rec merge = function
+    | (a1, b1) :: (a2, b2) :: rest when a2 <= b1 -> merge ((a1, max b1 b2) :: rest)
+    | r :: rest -> r :: merge rest
+    | [] -> []
+  in
+  merge (List.sort compare ranges)
+
+let prop_normalize_ranges =
+  QCheck.Test.make ~name:"normalize_ranges sorts and merges like the reference" ~count:1000
+    QCheck.(
+      pair (int_bound 2)
+        (list_of_size Gen.(int_range 0 40) (pair (int_bound 100) (int_range 0 30))))
+    (fun (order, pairs) ->
+      let ranges = List.map (fun (a, l) -> (a, a + l)) pairs in
+      let ranges =
+        match order with
+        | 0 -> ranges
+        | 1 -> List.sort compare ranges
+        | _ -> List.rev (List.sort compare ranges)
+      in
+      Diff.normalize_ranges ranges = normalize_ref ranges)
+
 let suite =
   ( "wire",
     [
@@ -239,4 +357,10 @@ let suite =
       Alcotest.test_case "long widening" `Quick test_long_widening;
       Alcotest.test_case "wire_size_of_prims" `Quick test_wire_size_of_prims;
       QCheck_alcotest.to_alcotest prop_value_roundtrip;
+      Alcotest.test_case "crc32 known answer" `Quick test_crc_known_answer;
+      Alcotest.test_case "crc32 bounds" `Quick test_crc_bounds;
+      QCheck_alcotest.to_alcotest prop_crc_every_split;
+      QCheck_alcotest.to_alcotest prop_mip_format;
+      Alcotest.test_case "MIP parsing" `Quick test_mip_parse;
+      QCheck_alcotest.to_alcotest prop_normalize_ranges;
     ] )
