@@ -844,8 +844,10 @@ let model_queue =
         ~doc:
           "Bound the model's shard mailbox at $(docv) queued releases: \
            releases split into submit (admission-gated), then apply or shed \
-           (refused without side effects; the client resubmits).  Default: \
-           the unbounded pre-overload model.")
+           (refused without side effects; the client resubmits).  This is \
+           the default server's gate too: at one shard the mailbox is the \
+           requests inside the shard.  Default: the unbounded pre-overload \
+           model.")
 
 let model_coherence =
   Arg.(

@@ -105,7 +105,11 @@ type config = {
           {!action.Apply} (dequeue + commit) or {!action.Shed} (refused —
           deadline expired or load shed — before any work; the client keeps
           its lock and resubmits).  A server crash empties the mailbox.
-          MDL01–06 are re-checked over the widened state space. *)
+          MDL01–06 are re-checked over the widened state space.  This is
+          the server that ships by default: every shard count gates
+          admission the same way, and at the default one shard the
+          "mailbox" is the requests admitted into the shard and not yet
+          finished. *)
   broken : broken option;
 }
 

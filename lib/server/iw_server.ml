@@ -71,11 +71,10 @@ type seg = {
 
 (* One shard: the owner of a disjoint set of segments.  Everything reachable
    from [sh_segs] — segment structures, diff caches, the scratch buffer, the
-   WAL handle — is touched only under [sh_lock].  In worker mode (domains ≥
-   2) a dedicated domain drains [sh_exec]'s mailbox and takes the lock per
-   job, so segment access is effectively single-threaded per shard;
-   cross-shard operations (checkpoint, resume, session teardown) take shard
-   locks directly, one at a time, in ascending shard order. *)
+   WAL handle — is touched only under [sh_lock].  Every segment request runs
+   through [sh_exec], whose job takes the lock; cross-shard operations
+   (checkpoint, resume, session teardown) take shard locks directly, one at
+   a time, in ascending shard order. *)
 type shard = {
   sh_id : int;
   sh_segs : (string, seg) Hashtbl.t;
@@ -93,10 +92,16 @@ type shard = {
   sh_nsegs : int Atomic.t;
       (* segment count mirror for the collect-time gauge probe: probes run
          under the registry mutex and must never take a shard lock *)
-  mutable sh_exec : Iw_shard.t option;  (* worker mailbox; None = inline *)
+  sh_exec : Iw_shard.t;
+      (* the admission gate and executor: a worker domain's mailbox with
+         several shards, the caller's own thread with one *)
+  sh_flush_failures : int Atomic.t;
+      (* failed group-commit flushes, bumped under [sh_lock]: a deferred
+         job whose append another caller's failed flush covered must not be
+         acknowledged *)
   sh_state : int Atomic.t;
       (* overload state machine: 0 normal, 1 shedding, 2 read-only.  Driven
-         by mailbox depth against IW_SHARD_QUEUE_MAX with hysteresis (see
+         by admission depth against IW_SHARD_QUEUE_MAX with hysteresis (see
          [overload_update]); read lock-free on the request path. *)
 }
 
@@ -130,7 +135,7 @@ type t = {
   t_locks_reclaimed : Iw_metrics.counter;
   t_sessions_resumed : Iw_metrics.counter;
   t_queue_max : int option;
-      (* per-shard mailbox admission cap (IW_SHARD_QUEUE_MAX); None =
+      (* per-shard admission cap (IW_SHARD_QUEUE_MAX); None =
          unbounded, the pre-overload behavior *)
   t_shed_queue_full : Iw_metrics.counter;
   t_shed_read_only : Iw_metrics.counter;
@@ -1056,24 +1061,26 @@ let env_nonneg_float name default =
     | Some v when v >= 0. -> v
     | _ -> invalid_arg (Printf.sprintf "%s: expected a number >= 0, got %S" name s))
 
-(* Group-commit flush, run by the shard's worker domain after each batch
-   that deferred fsyncs: one fsync per dirty log.  Takes the shard lock so
-   it cannot race a concurrent cross-shard checkpoint's truncate, which
-   closes log fds and cancels their deferred fsyncs. *)
-let flush_batch sh =
-  match sh.sh_store with
+(* Group-commit flush, run by the shard's executor after work that deferred
+   fsyncs: one fsync per dirty log.  Takes the shard lock so it cannot race
+   a concurrent cross-shard checkpoint's truncate, which closes log fds and
+   cancels their deferred fsyncs. *)
+let flush_batch lock failures = function
   | None -> ()
   | Some store ->
-    Mutex.lock sh.sh_lock;
+    Mutex.lock lock;
     Fun.protect
-      ~finally:(fun () -> Mutex.unlock sh.sh_lock)
+      ~finally:(fun () -> Mutex.unlock lock)
       (fun () ->
         (* lck-ok: LCK002 this is the one batched fsync every deferred
            release in the batch paid for; holding the shard lock over it is
            the group-commit design, not an accident. *)
-        Iw_store.end_batch store)
+        try Iw_store.end_batch store
+        with e ->
+          Atomic.incr failures;
+          raise e)
 
-(* Mailbox admission cap.  0 disables the bound (pre-overload behavior);
+(* Per-shard admission cap.  0 disables the bound (pre-overload behavior);
    unset means a generous default that only an actually saturated server
    hits. *)
 let env_queue_max () =
@@ -1146,11 +1153,12 @@ let create ?checkpoint_dir ?(diff_cache_capacity = 64) ?domains ?lease_secs ?fsy
      it exists for the slowness nobody was watching for. *)
   let t_slowlog = Iw_slowlog.of_env () in
   (* The shards.  Each owns a disjoint set of segments behind its own
-     instrumented lock; with one shard the label is suppressed so the
-     single-domain metric output is byte-identical to the pre-shard server.
-     Per-shard store handles share the registry's iw_store_* instruments
+     instrumented lock; with one shard the label is suppressed.  Per-shard
+     store handles share the registry's iw_store_* instruments
      (registration is idempotent by name), so aggregate store series stay
-     continuous too. *)
+     continuous too.  Several shards get a worker domain each (one shard's
+     segments run in parallel with another's); one shard runs its jobs on
+     the connection threads, with nothing to overlap a handoff with. *)
   let shards =
     Array.init nshards (fun id ->
         let sh_lock = Mutex.create () in
@@ -1182,6 +1190,8 @@ let create ?checkpoint_dir ?(diff_cache_capacity = 64) ?domains ?lease_secs ?fsy
                  ~journal:(Printf.sprintf "shard-%d" id)
                  ~metrics:t_metrics ~flight:t_flight dir)
         in
+        let sh_flush_failures = Atomic.make 0 in
+        let flush () = flush_batch sh_lock sh_flush_failures sh_store in
         {
           sh_id = id;
           sh_segs = Hashtbl.create 16;
@@ -1190,7 +1200,14 @@ let create ?checkpoint_dir ?(diff_cache_capacity = 64) ?domains ?lease_secs ?fsy
           sh_store;
           sh_scratch = Iw_wire.Buf.create ~capacity:65536 ();
           sh_nsegs = Atomic.make 0;
-          sh_exec = None;
+          sh_exec =
+            (if nshards = 1 then Iw_shard.create_inline ?queue_max:t_queue_max ~flush ()
+             else
+               Iw_shard.create
+                 ~max_batch:(env_pos_int "IW_GROUP_COMMIT_MAX" 64)
+                 ~window_us:(env_nonneg_float "IW_GROUP_COMMIT_US" 0.)
+                 ?queue_max:t_queue_max ~flush ());
+          sh_flush_failures;
           sh_state = Atomic.make 0;
         })
   in
@@ -1201,16 +1218,16 @@ let create ?checkpoint_dir ?(diff_cache_capacity = 64) ?domains ?lease_secs ?fsy
     (fun () ->
       float_of_int
         (Array.fold_left (fun acc sh -> acc + Atomic.get sh.sh_nsegs) 0 shards));
-  let mailbox_pending sh =
-    match sh.sh_exec with Some exec -> Iw_shard.pending exec | None -> 0
-  in
+  (* [Iw_shard.queued], not [pending]: a job the executor has started is
+     already inside the shard lock's own count. *)
   Iw_metrics.probe t_metrics
     ~help:"Requests inside the dispatch critical section (waiting or holding)"
     ~kind:`Gauge "iw_server_inflight"
     (fun () ->
       float_of_int
         (Array.fold_left
-           (fun acc sh -> acc + Iw_locked.inflight sh.sh_locked + mailbox_pending sh)
+           (fun acc sh ->
+             acc + Iw_locked.inflight sh.sh_locked + Iw_shard.queued sh.sh_exec)
            0 shards));
   Iw_metrics.probe t_metrics
     ~help:"Requests blocked waiting for a shard lock or queued to its worker"
@@ -1219,7 +1236,7 @@ let create ?checkpoint_dir ?(diff_cache_capacity = 64) ?domains ?lease_secs ?fsy
       float_of_int
         (Array.fold_left
            (fun acc sh ->
-             acc + Iw_locked.queue_depth sh.sh_locked + mailbox_pending sh)
+             acc + Iw_locked.queue_depth sh.sh_locked + Iw_shard.queued sh.sh_exec)
            0 shards));
   (* Overload observability: the queue high-watermark answers "how close to
      the cap did this shard ever get", the state gauge "is it degraded right
@@ -1232,14 +1249,10 @@ let create ?checkpoint_dir ?(diff_cache_capacity = 64) ?domains ?lease_secs ?fsy
         else Iw_metrics.with_label base "shard" (string_of_int sh.sh_id)
       in
       Iw_metrics.probe t_metrics
-        ~help:"Highest mailbox queue depth observed since startup"
+        ~help:"Highest admission depth observed since startup"
         ~kind:`Gauge
         (label "iw_server_queue_hwm")
-        (fun () ->
-          float_of_int
-            (match sh.sh_exec with
-            | Some exec -> Iw_shard.high_watermark exec
-            | None -> 0));
+        (fun () -> float_of_int (Iw_shard.high_watermark sh.sh_exec));
       Iw_metrics.probe t_metrics
         ~help:"Overload state: 0 normal, 1 shedding, 2 read-only"
         ~kind:`Gauge
@@ -1309,41 +1322,20 @@ let create ?checkpoint_dir ?(diff_cache_capacity = 64) ?domains ?lease_secs ?fsy
       prediction = true;
     }
   in
-  (* Recovery runs single-threaded, before any worker domain exists: one
-     scan of the directory, each file routed to its owning shard. *)
+  (* Recovery runs single-threaded, before the server is handed to anyone
+     who could submit a request: one scan of the directory, each file
+     routed to its owning shard. *)
   (match t.shards.(0).sh_store with
   | Some store -> recover_store t store
   | None -> ());
-  (* Worker domains spawn last.  domains = 1 spawns nothing: dispatch stays
-     inline on connection threads under the single shard's lock, exactly
-     the pre-shard behavior. *)
-  if nshards > 1 then begin
-    let max_batch = env_pos_int "IW_GROUP_COMMIT_MAX" 64 in
-    let window_us = env_nonneg_float "IW_GROUP_COMMIT_US" 0. in
-    Array.iter
-      (fun sh ->
-        sh.sh_exec <-
-          Some
-            (Iw_shard.create ~max_batch ~window_us ?queue_max:t.t_queue_max
-               ~flush:(fun () -> flush_batch sh) ()))
-      t.shards
-  end;
   t
 
-(* Stop accepting mailbox jobs, drain what was accepted, and join every
-   worker domain.  Inline mode is a no-op.  Exiting the process without
+(* Stop admitting segment requests and let every accepted one finish (a
+   worker drains its mailbox and is joined).  Exiting the process without
    this is still safe for clients (pending requests either completed or
    never acked) but leaves domains to be killed mid-batch; tests and
    iw-server's signal path call it for a clean drain. *)
-let shutdown t =
-  Array.iter
-    (fun sh ->
-      match sh.sh_exec with
-      | Some exec ->
-        sh.sh_exec <- None;
-        Iw_shard.stop exec
-      | None -> ())
-    t.shards
+let shutdown t = Array.iter (fun sh -> Iw_shard.stop sh.sh_exec) t.shards
 
 (* One segment checkpoint is also a log barrier: the checkpoint is durably in
    place (atomic replace, fsynced) before the log resets, so a crash between
@@ -1643,8 +1635,8 @@ let handle_global ?timer t (req : Iw_proto.request) : Iw_proto.response =
     R_error "internal: segment request on global path"
 
 (* Segment-scoped dispatch, called with [sh]'s lock held — on the
-   connection thread in inline mode, on the shard's worker domain in worker
-   mode.  [sh] is the segment's owning shard; routing happened in
+   connection thread at one shard, on the shard's worker domain at several.
+   [sh] is the segment's owning shard; routing happened in
    [handle_routed], and every segment this arm touches lives in
    [sh.sh_segs]. *)
 let handle_seg_locked ?timer t sh (req : Iw_proto.request) : Iw_proto.response =
@@ -1912,18 +1904,10 @@ let request_segment : Iw_proto.request -> string = function
   | Subscribe { name; _ }
   | Unsubscribe { name; _ } -> name
 
-(* Route one request.  Global requests run on this thread; segment-scoped
-   requests go to the segment's owning shard — dispatched inline under the
-   shard's instrumented lock when the shard has no worker (domains = 1, the
-   pre-shard fast path), or through the shard's mailbox when it does.  The
-   wait and hold show up in the lock histograms (and in the request's phase
-   timer as Lock_wait/Service) attributed to this variant and segment;
-   mailbox queueing counts as lock wait, because that is what it is in the
-   sharded design — time between asking for the shard and holding it. *)
 (* ---- Overload state machine ----
 
-   Per shard, three states with hysteresis, driven by the mailbox depth
-   against the admission cap:
+   Per shard, three states with hysteresis, driven by the admission depth
+   ({!Iw_shard.pending}) against the cap:
 
      normal    --depth >= 50% cap-->  shedding  --depth >= 85%-->  read-only
      normal  <--depth <= 25% cap--  shedding  <--depth <= 60%--  read-only
@@ -1936,11 +1920,11 @@ let request_segment : Iw_proto.request -> string = function
    drains instead of wedging.  When the lazy ring roll saw a hot lock-wait
    p99 trend, depth counts double: the machine degrades earlier while the
    shard is already struggling, not just when the queue is long. *)
-let overload_update t sh exec =
+let overload_update t sh =
   match t.t_queue_max with
   | None -> ()
   | Some cap ->
-    let depth = Iw_shard.pending exec in
+    let depth = Iw_shard.pending sh.sh_exec in
     let depth = if Atomic.get t.t_lock_wait_hot then depth * 2 else depth in
     let st = Atomic.get sh.sh_state in
     let st' =
@@ -1972,6 +1956,14 @@ let snapshot_readable : Iw_proto.request -> bool = function
   | Read_lock { coherence = Delta _ | Temporal _; _ } -> true
   | _ -> false
 
+(* Route one request.  Global requests run on this thread; segment-scoped
+   requests take one pipeline at every shard count: admit → snapshot-read or
+   run on the shard's executor → deadline check → dispatch under the shard's
+   instrumented lock → group-commit defer.  The wait and hold show up in the
+   lock histograms (and in the request's phase timer as Lock_wait/Service)
+   attributed to this variant and segment; mailbox queueing counts as lock
+   wait, because that is what it is — time between asking for the shard and
+   holding it. *)
 let handle_routed ?deadline_us ?timer t req =
   (* Racy int bump, read only by the requests probe: taking a lock for it
      would re-create the global serialization the shards removed. *)
@@ -1996,14 +1988,6 @@ let handle_routed ?deadline_us ?timer t req =
     let variant = Iw_proto.request_variant req in
     let segment = request_segment req in
     let sh = shard_of t segment in
-    (* Deterministic fault injection: inflate this shard's apparent service
-       time (slow@shard in the IW_FAULT plan) so a test can saturate one
-       shard on demand without real load. *)
-    let slow_shard () =
-      match t.t_slow_shard with
-      | Some (id, dur) when id = sh.sh_id -> Unix.sleepf dur
-      | _ -> ()
-    in
     let past_deadline () =
       match deadline_us with
       | Some d -> Iw_metrics.now_us () > d
@@ -2021,19 +2005,23 @@ let handle_routed ?deadline_us ?timer t req =
           ("expired:" ^ phase ^ ":" ^ variant);
       Iw_proto.R_expired { phase }
     in
-    (* A release is the one request that {e frees} resources: it must not be
-       deadline-shed at dequeue (only at the last moment before its WAL
-       cost) and it bypasses the admission cap, or a full queue could wedge
-       the very locks its backlog is waiting on. *)
-    let is_release =
-      match req with Iw_proto.Write_release _ -> true | _ -> false
+    let shed ~reason counter =
+      Iw_metrics.incr counter;
+      if Iw_flight.enabled t.t_flight then
+        Iw_flight.record t.t_flight ~segment ("shed:" ^ reason ^ ":" ^ variant);
+      (* The deadline feature bit doubles as the client's capability
+         announcement: only stamped requests get the hint reply. *)
+      if deadline_us <> None then
+        Iw_proto.R_busy_hint
+          { retry_after_ms = busy_hint_ms (Iw_shard.pending sh.sh_exec) }
+      else Iw_proto.R_busy
     in
     (* The admission gate targets the data path — the lock acquires that
        start transactions and the work queued behind them.  Everything else
        on the shard is control plane (session setup, metadata, releases,
        subscriptions): refusing those can wedge a client that is trying to
        finish or even just to leave.  Letting them bypass the cap keeps the
-       mailbox bounded all the same — each connection has at most one call
+       shard bounded all the same — each connection has at most one call
        outstanding, so the overflow is at most one request per live
        connection. *)
     let gated =
@@ -2041,125 +2029,106 @@ let handle_routed ?deadline_us ?timer t req =
       | Iw_proto.Read_lock _ | Iw_proto.Write_lock _ -> true
       | _ -> false
     in
-    let dispatch_locked () =
-      if is_release && past_deadline () then expired t.t_expired_wal "wal"
-      else begin
-        slow_shard ();
-        protect (fun () -> handle_seg_locked ?timer t sh req)
-      end
-    in
-    match sh.sh_exec with
-    | None ->
-      Iw_locked.with_lock sh.sh_locked ~variant ~segment ?timer (fun () ->
-          if (not is_release) && past_deadline () then
-            expired t.t_expired_queue "queue"
-          else dispatch_locked ())
-    | Some exec ->
-      overload_update t sh exec;
-      let shed ~reason counter =
-        Iw_metrics.incr counter;
-        if Iw_flight.enabled t.t_flight then
-          Iw_flight.record t.t_flight ~segment ("shed:" ^ reason ^ ":" ^ variant);
-        (* The deadline feature bit doubles as the client's capability
-           announcement: only stamped requests get the hint reply. *)
-        if deadline_us <> None then
-          Iw_proto.R_busy_hint
-            { retry_after_ms = busy_hint_ms (Iw_shard.pending exec) }
-        else Iw_proto.R_busy
+    overload_update t sh;
+    let state = Atomic.get sh.sh_state in
+    match req with
+    | Iw_proto.Write_lock _ when state = 2 ->
+      shed ~reason:"read_only" t.t_shed_read_only
+    | _ -> (
+      (* Shedding tier 1: relaxed-coherence reads are answered from the last
+         committed snapshot without passing the admission gate — unless
+         this segment has an un-fsynced version in the open batch, which a
+         read must never expose (the per-segment check is what lets reads
+         on clean segments proceed while a sibling's release is parked for
+         the group fsync). *)
+      let snapshot_read =
+        if state >= 1 && snapshot_readable req then
+          Iw_locked.with_lock sh.sh_locked ~variant ~segment ?timer (fun () ->
+              let durable =
+                match sh.sh_store with
+                | Some store -> not (Iw_store.batch_dirty_segment store ~segment)
+                | None -> true
+              in
+              if durable then begin
+                Iw_metrics.incr t.t_snapshot_reads;
+                Some (protect (fun () -> handle_seg_locked ?timer t sh req))
+              end
+              else None)
+        else None
       in
-      let state = Atomic.get sh.sh_state in
-      let is_new_write =
-        match req with Iw_proto.Write_lock _ -> true | _ -> false
-      in
-      if state = 2 && is_new_write then shed ~reason:"read_only" t.t_shed_read_only
-      else begin
-        (* Shedding tier 1: relaxed-coherence reads are answered inline from
-           the last committed snapshot instead of queueing behind writes —
-           unless this segment has an un-fsynced version in the open batch,
-           which a read must never expose (the per-segment check is what
-           lets reads on clean segments proceed while a sibling's release is
-           parked for the group fsync). *)
-        let inline_read =
-          if state >= 1 && snapshot_readable req then
-            Iw_locked.with_lock sh.sh_locked ~variant ~segment ?timer (fun () ->
-                let durable =
-                  match sh.sh_store with
-                  | Some store ->
-                    not (Iw_store.batch_dirty_segment store ~segment)
-                  | None -> true
-                in
-                if durable then begin
-                  Iw_metrics.incr t.t_snapshot_reads;
-                  Some (protect (fun () -> handle_seg_locked ?timer t sh req))
-                end
-                else None)
-          else None
+      match snapshot_read with
+      | Some resp -> resp
+      | None -> (
+        (* Executor dispatch: the phase timer travels with the job (a worker
+           mailbox's completion signalling synchronizes the handoff both
+           ways).  [extra_wait_us] folds the time between submission and
+           start into the shard's lock-wait histograms; Iw_phase.add credits
+           it to the timer, which sat with no phase open meanwhile. *)
+        let t_enq = Iw_metrics.now_us () in
+        let job_deferred = ref false in
+        let deferred_at = ref 0. in
+        let failures_at_append = ref 0 in
+        let job () =
+          let wait_us = Iw_metrics.now_us () -. t_enq in
+          (match timer with
+          | Some tm -> Iw_phase.add tm Iw_phase.Lock_wait wait_us
+          | None -> ());
+          Iw_locked.with_lock sh.sh_locked ~variant ~segment ~extra_wait_us:wait_us
+            ?timer (fun () ->
+              (* Deadline shed, checked once the shard is ours: a release
+                 — the one request that {e frees} resources — at the last
+                 moment before its WAL cost, anything else after its wait
+                 for the shard. *)
+              match req with
+              | Iw_proto.Write_release _ when past_deadline () ->
+                expired t.t_expired_wal "wal"
+              | _ when past_deadline () -> expired t.t_expired_queue "queue"
+              | _ ->
+                (* Deterministic fault injection: inflate this shard's
+                   apparent service time (slow@shard in the IW_FAULT plan)
+                   so a test can saturate one shard without real load. *)
+                (match t.t_slow_shard with
+                | Some (id, dur) when id = sh.sh_id -> Unix.sleepf dur
+                | _ -> ());
+                (* Open (or join) the shard's group-commit batch: appends
+                   under [Always] defer their fsync to the executor's
+                   flush.  Deferral is decided under the lock, per segment:
+                   a request only waits for the batch fsync when its {e
+                   own} segment has an un-fsynced append in it. *)
+                (match sh.sh_store with
+                | Some store -> Iw_store.begin_batch store
+                | None -> ());
+                let resp = protect (fun () -> handle_seg_locked ?timer t sh req) in
+                (match sh.sh_store with
+                | Some store ->
+                  job_deferred := Iw_store.batch_dirty_segment store ~segment;
+                  failures_at_append := Atomic.get sh.sh_flush_failures
+                | None -> ());
+                resp)
         in
-        match inline_read with
-        | Some resp -> resp
-        | None -> (
-          (* Worker dispatch: hand the request (and its phase timer — the
-             mailbox's completion signalling synchronizes the handoff both
-             ways) to the shard's domain.  [extra_wait_us] folds the queue
-             wait into the shard's lock-wait histograms; Iw_phase.add
-             credits it to the timer, which sat with no phase open while
-             queued. *)
-          let t_enq = Iw_metrics.now_us () in
-          let job_deferred = ref false in
-          let deferred_at = ref 0. in
-          try
-            let resp =
-              Iw_shard.run exec ~urgent:(not gated)
-                ~defer:(fun () ->
-                  if !job_deferred then deferred_at := Iw_metrics.now_us ();
-                  !job_deferred)
-                (fun () ->
-                  if (not is_release) && past_deadline () then
-                    expired t.t_expired_queue "queue"
-                  else begin
-                    let wait_us = Iw_metrics.now_us () -. t_enq in
-                    (match timer with
-                    | Some tm -> Iw_phase.add tm Iw_phase.Lock_wait wait_us
-                    | None -> ());
-                    Iw_locked.with_lock sh.sh_locked ~variant ~segment
-                      ~extra_wait_us:wait_us ?timer (fun () ->
-                        (* Open (or join) the shard's group-commit batch:
-                           appends under [Always] defer their fsync to the
-                           batch flush. *)
-                        (match sh.sh_store with
-                        | Some store -> Iw_store.begin_batch store
-                        | None -> ());
-                        let resp = dispatch_locked () in
-                        (* Deferral is decided under the lock — the batch's
-                           dirty set is shard state (checkpoints prune it
-                           under this same lock).  Per segment: a completed
-                           request only waits for the batch fsync when its
-                           {e own} segment has an un-fsynced append in it —
-                           a read on a clean segment exposes nothing by
-                           completing early. *)
-                        (match sh.sh_store with
-                        | Some store ->
-                          job_deferred :=
-                            Iw_store.batch_dirty_segment store ~segment
-                        | None -> ());
-                        resp)
-                  end)
-            in
-            (* A deferred completion spent its tail waiting on the batch
-               fsync: credit it to the WAL phase, where a synchronous fsync
-               would have landed. *)
-            (match timer with
-            | Some tm when !job_deferred ->
-              Iw_phase.add tm Iw_phase.Wal (Iw_metrics.now_us () -. !deferred_at)
-            | _ -> ());
-            resp
-          with Iw_shard.Overloaded _ ->
-            (* Admission gate: the mailbox is at IW_SHARD_QUEUE_MAX.  The
-               request was never queued; refuse it now, bounding both queue
-               memory and the queueing delay of everything already
-               accepted. *)
-            shed ~reason:"queue_full" t.t_shed_queue_full)
-      end
+        let defer () =
+          if !job_deferred then deferred_at := Iw_metrics.now_us ();
+          !job_deferred
+        in
+        match Iw_shard.run sh.sh_exec ~urgent:(not gated) ~defer job with
+        | exception Iw_shard.Overloaded _ ->
+          (* The shard is at IW_SHARD_QUEUE_MAX.  The request was never
+             started; refuse it now, bounding both queue memory and the
+             queueing delay of everything already accepted. *)
+          shed ~reason:"queue_full" t.t_shed_queue_full
+        | resp when not !job_deferred -> resp
+        | resp ->
+          (* The first flush after this job's append covered it; if any
+             flush since has failed, that one may have, and the reply must
+             not claim durability. *)
+          if Atomic.get sh.sh_flush_failures <> !failures_at_append then
+            failwith "group-commit fsync failed";
+          (* The tail spent waiting on the batch fsync belongs to the WAL
+             phase, where a synchronous fsync would have landed. *)
+          (match timer with
+          | Some tm -> Iw_phase.add tm Iw_phase.Wal (Iw_metrics.now_us () -. !deferred_at)
+          | None -> ());
+          resp))
   end
 
 let response_version : Iw_proto.response -> int = function

@@ -15,14 +15,14 @@
 
     {b Threading.}  Segments are partitioned across [domains] shards by a
     deterministic hash of the segment name.  Each shard owns its segments,
-    its slice of the write-ahead log, and its own instrumented lock; with
-    [domains = 1] (the default) requests run inline on connection threads
-    under the single shard's lock — the classic one-big-lock server — and
-    with [domains ≥ 2] each shard gets a dedicated OCaml 5 domain that
-    drains a mailbox of requests in batches and group-commits their WAL
-    fsyncs.  Session state (ids, leases, notifier registrations) stays
-    global behind a small leaf mutex.  See DESIGN.md, "Threading &
-    sharding". *)
+    its slice of the write-ahead log, and its own instrumented lock.  Every
+    segment request passes its shard's admission gate ({!Iw_shard}); with
+    [domains = 1] (the default) it then runs on the connection thread under
+    the single shard's lock, and with [domains ≥ 2] each shard gets a
+    dedicated OCaml 5 domain that drains a mailbox of requests in batches.
+    Either way their WAL fsyncs are group-committed.  Session state (ids,
+    leases, notifier registrations) stays global behind a small leaf
+    mutex.  See DESIGN.md, "Threading & sharding". *)
 
 type t
 
@@ -54,14 +54,13 @@ val create :
 
     [domains] (default: the [IW_DOMAINS] environment variable, else [1],
     clamped to [1..64]) picks the shard count.  Recovery always runs
-    single-threaded before any worker domain is spawned, and the
-    segment→shard hash is deterministic, so a directory written with one
-    shard count recovers correctly under any other.  With [domains ≥ 2],
-    group commit batches concurrent releases' fsyncs
-    ([IW_GROUP_COMMIT_MAX] caps the batch, default 64; [IW_GROUP_COMMIT_US]
-    adds an optional gathering window, default 0) — acknowledgements are
-    withheld until the batch's fsync, so durability-before-ack is
-    unchanged.
+    single-threaded before [create] returns, and the segment→shard hash is
+    deterministic, so a directory written with one shard count recovers
+    correctly under any other.  Group commit batches concurrent releases'
+    fsyncs — acknowledgements are withheld until the batch's fsync, so
+    durability-before-ack is unchanged.  With [domains ≥ 2]
+    [IW_GROUP_COMMIT_MAX] caps a worker's batch (default 64) and
+    [IW_GROUP_COMMIT_US] adds an optional gathering window (default 0).
 
     [lease_secs] enables per-session inactivity leases: write locks survive
     a dropped connection (so a client can reconnect and
@@ -72,8 +71,9 @@ val create :
     connection releases its sessions' locks immediately, as before.
 
     [queue_max] (default: the [IW_SHARD_QUEUE_MAX] environment variable,
-    else [1024]; [0] disables the bound) caps each shard's worker mailbox.
-    A request arriving at a full mailbox is refused at admission with
+    else [1024]; [0] disables the bound) caps each shard's admission depth:
+    its worker's mailbox or, at one shard, the requests inside it.  A
+    request arriving at a full shard is refused at admission with
     {!Iw_proto.R_busy_hint} (or plain [R_busy] for clients without the
     deadline envelope feature) instead of queueing — bounding both the
     server's queue memory and the queueing delay of everything already
@@ -97,10 +97,10 @@ val domains : t -> int
 (** The shard count this server was created with. *)
 
 val shutdown : t -> unit
-(** Stop the shard worker domains: each drains its mailbox (running and
-    group-committing everything already accepted) and is joined.  A no-op
-    with [domains = 1], and idempotent.  Requests submitted after shutdown
-    raise. *)
+(** Stop admitting segment requests and let every accepted one finish
+    (group commit included); worker domains drain their mailboxes and are
+    joined.  Idempotent.  Segment requests submitted after shutdown raise
+    {!Iw_shard.Stopped}. *)
 
 val handle :
   ?ctx:Iw_proto.trace_ctx ->
@@ -126,7 +126,7 @@ val handle :
     [deadline_us] (an absolute {!Iw_metrics.now_us} instant — {!serve_conn}
     computes it from the request envelope's remaining-budget field) lets
     the dispatch shed the request with {!Iw_proto.R_expired} once the
-    budget has run out: at dequeue from the shard mailbox (phase
+    budget has run out: once the request holds its shard (phase
     ["queue"]), or for a [Write_release] at the last moment before its
     apply-and-WAL cost (phase ["wal"]).  Nothing is applied on an expired
     path, so a client retry is always safe.  Its presence also marks the

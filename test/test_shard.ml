@@ -1,8 +1,9 @@
 (* The sharded server: deterministic segment→shard routing across restarts
    and shard counts, segment creation and cross-segment reads racing through
    the worker domains, lease reclamation reaching the sessions lock from a
-   worker, and group commit batching fsyncs without giving up
-   durability-before-ack. *)
+   worker, group commit batching fsyncs without giving up
+   durability-before-ack, and the one-shard executor taking the same
+   admission gate, gauges and shutdown barrier as the workers. *)
 
 open Iw_proto
 
@@ -244,12 +245,13 @@ let test_lease_reclaim_across_shards () =
   | _ -> Alcotest.fail "evicted holder's release must be refused");
   Iw_server.shutdown t
 
-(* Group commit under fsync=always: concurrent releases on worker shards
-   share fsyncs (the batch counter moves), acks still imply durability (a
-   restart under a different shard count recovers every acked version). *)
-let test_group_commit_durability () =
+(* Group commit under fsync=always: concurrent releases share fsyncs (the
+   batch counter moves) on worker shards and on the one-shard executor, and
+   acks still imply durability (a restart under a different shard count
+   recovers every acked version). *)
+let group_commit_durability domains =
   let dir = tmpdir () in
-  let t = Iw_server.create ~checkpoint_dir:dir ~domains:4 ~fsync:Iw_store.Always () in
+  let t = Iw_server.create ~checkpoint_dir:dir ~domains ~fsync:Iw_store.Always () in
   let failures = Atomic.make 0 in
   let nthreads = 6 and writes = 9 in
   let threads =
@@ -281,6 +283,8 @@ let test_group_commit_durability () =
       (get_version t2 s2 name)
   done;
   Iw_server.shutdown t2
+
+let test_group_commit_durability () = List.iter group_commit_durability [ 4; 1 ]
 
 (* The mailbox admission gate, exercised directly: with the worker wedged on
    a slow job and the queue at its cap, a gated run is refused with
@@ -345,6 +349,25 @@ let test_mailbox_admission_gate () =
   Alcotest.(check bool) "high watermark saw the urgent overflow" true
     (Iw_shard.high_watermark sh >= 3);
   Iw_shard.stop sh
+
+(* The one-shard executor: a job runs on the caller's thread, a deferred one
+   is flushed before [run] returns, and a flush failure replaces the result
+   (nothing acknowledged that is not durable). *)
+let test_inline_executor () =
+  let flushes = ref 0 in
+  let ex = Iw_shard.create_inline ~flush:(fun () -> incr flushes) () in
+  Alcotest.(check int) "job ran on the caller's thread"
+    (Thread.id (Thread.self ()))
+    (Iw_shard.run ex ~defer:(fun () -> false) (fun () -> Thread.id (Thread.self ())));
+  Alcotest.(check int) "no flush without deferral" 0 !flushes;
+  Alcotest.(check int) "deferred result returned" 7
+    (Iw_shard.run ex ~defer:(fun () -> true) (fun () -> 7));
+  Alcotest.(check int) "flushed before returning" 1 !flushes;
+  let failing = Iw_shard.create_inline ~flush:(fun () -> failwith "fsync") () in
+  (match Iw_shard.run failing ~defer:(fun () -> true) (fun () -> 7) with
+  | _ -> Alcotest.fail "a failed flush must not return the result"
+  | exception Failure _ -> ());
+  Alcotest.(check int) "nothing left in flight" 0 (Iw_shard.pending failing)
 
 let labelled_counter t base label value =
   counter_value t (Iw_metrics.with_label base label value)
@@ -529,6 +552,116 @@ let test_deadline_expiry_phases () =
     (labelled_counter t "iw_server_expired_total" "phase" "wal" >= 1.);
   Iw_server.shutdown t
 
+(* Shutdown is a barrier at every shard count: a segment request submitted
+   after it raises instead of running — the one-shard server used to drop
+   its executor and keep serving inline. *)
+let test_requests_after_shutdown_raise () =
+  List.iter
+    (fun domains ->
+      let t = Iw_server.create ~domains () in
+      (* The escaping exception is the point here, not a crash to record. *)
+      Iw_flight.set_enabled (Iw_server.flight t) false;
+      let s = hello t in
+      ignore (seed_segment t s "after" : int);
+      Iw_server.shutdown t;
+      match Iw_server.handle t (Get_version { session = s; name = "after" }) with
+      | _ -> Alcotest.failf "domains:%d: request after shutdown was served" domains
+      | exception Iw_shard.Stopped -> ())
+    [ 1; 2 ]
+
+let gauge_value t name =
+  match Iw_metrics.find (Iw_metrics.snapshot (Iw_server.metrics t)) name with
+  | Some (Iw_metrics.V_gauge v) -> v
+  | _ -> Alcotest.failf "no gauge %s" name
+
+(* A one-shard server with a 1-deep admission cap, session [s] holding the
+   write lock on [seg], and one caller parked inside the shard: slow@shard=0
+   holds every segment request in the shard lock for 200 ms.  [k t s seg]
+   runs while the Get_version is parked. *)
+let with_parked_caller k =
+  Unix.putenv "IW_FAULT" "slow@shard=0:200ms";
+  let t =
+    Fun.protect
+      ~finally:(fun () -> Unix.putenv "IW_FAULT" "")
+      (fun () -> Iw_server.create ~domains:1 ~queue_max:1 ())
+  in
+  let s = hello t and seg = "park" in
+  ignore (seed_segment t s seg : int);
+  (match Iw_server.handle t (Write_lock { session = s; name = seg; version = 0 }) with
+  | R_granted _ -> ()
+  | _ -> Alcotest.fail "write lock refused before parking");
+  let parked =
+    Thread.create (fun () -> ignore (get_version t (hello t) seg : int)) ()
+  in
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  while gauge_value t "iw_server_inflight" < 1. && Unix.gettimeofday () < deadline do
+    Thread.yield ()
+  done;
+  k t s seg;
+  Thread.join parked;
+  Iw_server.shutdown t
+
+(* The admission gate at the default shard count: with one caller inside
+   the shard and the cap at 1, a new lock request is refused (plain R_busy,
+   or the hint form when a deadline is stamped) and counted as a queue_full
+   shed, while the release rides the urgent lane and commits. *)
+let test_one_shard_admission_gate () =
+  with_parked_caller (fun t s seg ->
+      let read () =
+        Read_lock { session = s; name = seg; version = 0; coherence = Full }
+      in
+      (match Iw_server.handle t (read ()) with
+      | R_busy -> ()
+      | _ -> Alcotest.fail "read past the cap must be refused with R_busy");
+      (match
+         Iw_server.handle ~deadline_us:(Iw_metrics.now_us () +. 10_000_000.) t (read ())
+       with
+      | R_busy_hint { retry_after_ms } ->
+        Alcotest.(check bool) "hint within the documented clamp" true
+          (retry_after_ms >= 5 && retry_after_ms <= 2000)
+      | _ -> Alcotest.fail "stamped read past the cap must get R_busy_hint");
+      Alcotest.(check (float 0.)) "queue_full sheds counted" 2.
+        (labelled_counter t "iw_server_shed_total" "reason" "queue_full");
+      (match
+         Iw_server.handle t
+           (Write_release
+              {
+                session = s;
+                name = seg;
+                diff =
+                  {
+                    Iw_wire.Diff.from_version = 0;
+                    to_version = 0;
+                    new_descs = [];
+                    changes = [ update_run () ];
+                  };
+              })
+       with
+      | R_version 2 -> ()
+      | _ -> Alcotest.fail "release past the cap must commit through the urgent lane"))
+
+(* The gauges count a caller parked in the one-shard executor once: it is
+   inside the shard lock's count already, so the executor adds nothing. *)
+let test_one_shard_gauges_count_once () =
+  with_parked_caller (fun t s seg ->
+      Alcotest.(check (float 0.)) "parked caller is one in flight" 1.
+        (gauge_value t "iw_server_inflight");
+      Alcotest.(check (float 0.)) "holding the lock is not queueing" 0.
+        (gauge_value t "iw_server_lock_queue_depth");
+      (* A second, ungated caller waits for the lock behind the parked one. *)
+      let waiter = Thread.create (fun () -> ignore (get_version t s seg : int)) () in
+      let deadline = Unix.gettimeofday () +. 10.0 in
+      while
+        gauge_value t "iw_server_lock_queue_depth" < 1.
+        && Unix.gettimeofday () < deadline
+      do
+        Thread.yield ()
+      done;
+      Alcotest.(check (float 0.)) "one caller queued" 1.
+        (gauge_value t "iw_server_lock_queue_depth");
+      Alcotest.(check (float 0.)) "two in flight" 2. (gauge_value t "iw_server_inflight");
+      Thread.join waiter)
+
 let suite =
   ( "shard",
     [
@@ -546,4 +679,10 @@ let suite =
       Alcotest.test_case "overload shed and urgent lane" `Quick
         test_overload_shed_and_urgent_lane;
       Alcotest.test_case "deadline expiry phases" `Quick test_deadline_expiry_phases;
+      Alcotest.test_case "requests after shutdown raise" `Quick
+        test_requests_after_shutdown_raise;
+      Alcotest.test_case "one-shard admission gate" `Quick test_one_shard_admission_gate;
+      Alcotest.test_case "one-shard gauges count once" `Quick
+        test_one_shard_gauges_count_once;
+      Alcotest.test_case "inline executor" `Quick test_inline_executor;
     ] )
