@@ -92,6 +92,22 @@ let fig7_case () =
       Iw_client.rl_acquire seg;
       Iw_client.rl_release seg)
 
+(* Server request path: one up-to-date Read_lock through [Iw_server.handle]
+   (a direct link: no transport), with the server's metrics registry on and
+   off.  The gap is what the server's own per-request bookkeeping costs. *)
+let server_read_lock ~metrics =
+  let server = Iw_server.create () in
+  Iw_metrics.set_enabled (Iw_server.metrics server) metrics;
+  let session =
+    match Iw_server.handle server (Iw_proto.Hello { arch = "x86_32" }) with
+    | Iw_proto.R_hello { session } -> session
+    | _ -> failwith "server_read_lock: hello refused"
+  in
+  let name = "bechamel/server" in
+  ignore (Iw_server.handle server (Iw_proto.Open_segment { session; name; create = true }));
+  let req = Iw_proto.Read_lock { session; name; version = 0; coherence = Iw_proto.Full } in
+  Staged.stage (fun () -> ignore (Iw_server.handle server req : Iw_proto.response))
+
 let tests () =
   Test.make_grouped ~name:"interweave"
     [
@@ -100,6 +116,10 @@ let tests () =
       Test.make ~name:"fig6: swizzle (1024 blocks)" (fig6_swizzle ());
       Test.make ~name:"fig6: unswizzle (1024 blocks)" (fig6_unswizzle ());
       Test.make ~name:"fig7: 1% mining increment" (fig7_case ());
+      Test.make ~name:"server handle: read_lock, metrics on"
+        (server_read_lock ~metrics:true);
+      Test.make ~name:"server handle: read_lock, metrics off"
+        (server_read_lock ~metrics:false);
     ]
 
 let benchmark () =

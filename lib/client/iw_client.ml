@@ -90,6 +90,15 @@ type mode =
   | Diffing
   | No_diff of int  (* write releases left before re-probing with diffs *)
 
+(* A segment's {segment="..."} series, each registered on its first
+   observation. *)
+type seg_obs = {
+  go_version_lag : Iw_metrics.histogram Iw_metrics.slot;
+  go_staleness : Iw_metrics.histogram Iw_metrics.slot;
+  go_wasted_acquire : Iw_metrics.counter Iw_metrics.slot;
+  go_wl_wait : Iw_metrics.histogram Iw_metrics.slot;
+}
+
 type seg = {
   g_name : string;
   g_id : int;
@@ -119,6 +128,7 @@ type seg = {
   (* The write lock did not survive a reconnect (lease reclaim or fresh
      session): the next wl_release/wl_abort raises [Lock_lost]. *)
   mutable g_lost : bool;
+  g_obs : seg_obs;
 }
 
 and monitor = {
@@ -623,6 +633,30 @@ let refresh_meta g =
       blocks
   | _ -> error "unexpected response to Segment_meta"
 
+let seg_obs m name =
+  let label base = Iw_metrics.with_label base "segment" name in
+  {
+    go_version_lag =
+      Iw_metrics.slot (fun () ->
+          Iw_metrics.histogram_count m ~help:"Versions behind the server at lock acquire"
+            (label "iw_client_version_lag"));
+    go_staleness =
+      Iw_metrics.slot (fun () ->
+          Iw_metrics.histogram_us m
+            ~help:"Age of the cached copy when served locally under Temporal coherence"
+            (label "iw_client_staleness_us"));
+    go_wasted_acquire =
+      Iw_metrics.slot (fun () ->
+          Iw_metrics.counter m
+            ~help:"Acquires that round-tripped to the server for nothing new"
+            (label "iw_client_wasted_acquire_total"));
+    go_wl_wait =
+      Iw_metrics.slot (fun () ->
+          Iw_metrics.histogram_us m
+            ~help:"Write-lock wait under contention, first busy to grant"
+            (label "iw_client_wl_wait_us"));
+  }
+
 let open_segment ?(create = true) c name =
   if String.contains name '#' then error "segment name %S contains '#'" name;
   match Hashtbl.find_opt c.c_segs name with
@@ -659,6 +693,7 @@ let open_segment ?(create = true) c name =
         g_subscribed = false;
         g_uptodate_streak = 0;
         g_lost = false;
+        g_obs = seg_obs c.c_metrics name;
       }
     in
     Hashtbl.replace c.c_segs name g;
@@ -795,37 +830,25 @@ let traced_span c args span f =
   end
   else f ()
 
-(* Per-segment coherence series, labeled {segment="..."} like the server's;
-   registration is idempotent so the by-name lookup per observation is fine.
-   Call sites gate on [Iw_metrics.enabled]. *)
+(* Per-segment coherence series, labeled {segment="..."} like the server's
+   and resolved the same way: once per segment handle, on first
+   observation.  Call sites gate on [Iw_metrics.enabled]. *)
 
-let seg_observe_lag c g diff =
+let seg_observe_lag g diff =
   Iw_metrics.observe
-    (Iw_metrics.histogram_count c.c_metrics
-       ~help:"Versions behind the server at lock acquire"
-       (Iw_metrics.with_label "iw_client_version_lag" "segment" g.g_name))
+    (Iw_metrics.resolve g.g_obs.go_version_lag)
     (float_of_int
        (max 0 (diff.Iw_wire.Diff.to_version - diff.Iw_wire.Diff.from_version)))
 
-let seg_observe_staleness c g =
+let seg_observe_staleness g =
   Iw_metrics.observe
-    (Iw_metrics.histogram_us c.c_metrics
-       ~help:"Age of the cached copy when served locally under Temporal coherence"
-       (Iw_metrics.with_label "iw_client_staleness_us" "segment" g.g_name))
+    (Iw_metrics.resolve g.g_obs.go_staleness)
     ((now () -. g.g_synced_at) *. 1e6)
 
-let seg_count_wasted c g =
-  Iw_metrics.incr
-    (Iw_metrics.counter c.c_metrics
-       ~help:"Acquires that round-tripped to the server for nothing new"
-       (Iw_metrics.with_label "iw_client_wasted_acquire_total" "segment" g.g_name))
+let seg_count_wasted g = Iw_metrics.incr (Iw_metrics.resolve g.g_obs.go_wasted_acquire)
 
-let seg_observe_wl_wait c g us =
-  Iw_metrics.observe
-    (Iw_metrics.histogram_us c.c_metrics
-       ~help:"Write-lock wait under contention, first busy to grant"
-       (Iw_metrics.with_label "iw_client_wl_wait_us" "segment" g.g_name))
-    us
+let seg_observe_wl_wait g us =
+  Iw_metrics.observe (Iw_metrics.resolve g.g_obs.go_wl_wait) us
 
 (* Applying an incoming diff (paper, Sec. 3.1, diff application). *)
 
@@ -921,7 +944,7 @@ let apply_diff_plain g (diff : Iw_wire.Diff.t) =
 let apply_diff g (diff : Iw_wire.Diff.t) =
   let c = g.g_client in
   if Iw_metrics.enabled c.c_metrics || Iw_trace.enabled () then begin
-    if Iw_metrics.enabled c.c_metrics then seg_observe_lag c g diff;
+    if Iw_metrics.enabled c.c_metrics then seg_observe_lag g diff;
     let t0 = Iw_metrics.now_us () in
     traced_span c
       [
@@ -1032,7 +1055,7 @@ let rl_acquire_plain g =
       if
         temporal_fresh && (not subscribed_fresh)
         && Iw_metrics.enabled c.c_metrics
-      then seg_observe_staleness c g
+      then seg_observe_staleness g
     end
     else begin
       clear_stale c g.g_name;
@@ -1048,7 +1071,7 @@ let rl_acquire_plain g =
       with
       | Iw_proto.R_up_to_date ->
         c.c_stats.updates_skipped <- c.c_stats.updates_skipped + 1;
-        if Iw_metrics.enabled c.c_metrics then seg_count_wasted c g;
+        if Iw_metrics.enabled c.c_metrics then seg_count_wasted g;
         g.g_valid <- true;
         g.g_synced_at <- now ();
         (* Adaptive switch from polling to notification: repeated wasted
@@ -1117,7 +1140,7 @@ let wl_acquire_plain g =
       | Iw_proto.R_granted upd ->
         (match !busy_since with
         | Some since when Iw_metrics.enabled c.c_metrics ->
-          seg_observe_wl_wait c g (Iw_metrics.now_us () -. since)
+          seg_observe_wl_wait g (Iw_metrics.now_us () -. since)
         | Some _ | None -> ());
         upd
       | _ -> error "unexpected response to Write_lock"

@@ -119,32 +119,37 @@ let record_locked t ~variant ~segment ~wait_us ~hold_us =
       Iw_metrics.observe ho hold_us
     end
 
+(* Seconds on the timer's clock when there is a timer — its phase
+   transitions then reuse the instants the lock is timed with — else on
+   the wall clock. *)
+let[@inline] now = function Some tm -> Iw_phase.now tm | None -> Unix.gettimeofday ()
+
 let with_lock t ?(variant = "") ?(segment = "") ?(extra_wait_us = 0.) ?timer f =
   Atomic.incr t.l_inflight;
   Atomic.incr t.l_queue;
+  let t0 = now timer in
   (match timer with
-  | Some tm -> Iw_phase.enter tm Iw_phase.Lock_wait
+  | Some tm -> Iw_phase.enter_at tm Iw_phase.Lock_wait t0
   | None -> ());
-  let t0 = Iw_metrics.now_us () in
   Mutex.lock t.l_mutex;
-  let t1 = Iw_metrics.now_us () in
+  let t1 = now timer in
   Atomic.decr t.l_queue;
   (match timer with
   | Some tm ->
-    Iw_phase.leave tm Iw_phase.Lock_wait;
-    Iw_phase.enter tm Iw_phase.Service
+    Iw_phase.leave_at tm Iw_phase.Lock_wait t1;
+    Iw_phase.enter_at tm Iw_phase.Service t1
   | None -> ());
-  let wait_us = t1 -. t0 +. extra_wait_us in
+  let wait_us = ((t1 -. t0) *. 1e6) +. extra_wait_us in
   (if wait_us >= t.l_contention_us then
      match t.l_on_contention with
      | Some cb -> cb ~wait_us ~variant ~segment
      | None -> ());
   Fun.protect
     ~finally:(fun () ->
-      let hold_us = Iw_metrics.now_us () -. t1 in
-      record_locked t ~variant ~segment ~wait_us ~hold_us;
+      let t2 = now timer in
+      record_locked t ~variant ~segment ~wait_us ~hold_us:((t2 -. t1) *. 1e6);
       (match timer with
-      | Some tm -> Iw_phase.leave tm Iw_phase.Service
+      | Some tm -> Iw_phase.leave_at tm Iw_phase.Service t2
       | None -> ());
       Atomic.decr t.l_inflight;
       Mutex.unlock t.l_mutex)

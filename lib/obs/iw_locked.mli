@@ -63,7 +63,8 @@ val with_lock :
     time so the recorded wait and the contention threshold cover the whole
     time the request spent blocked, not just the (usually uncontended)
     final [Mutex.lock].  With [timer], the wait is bracketed as
-    {!Iw_phase.Lock_wait} and the held section as {!Iw_phase.Service}.
+    {!Iw_phase.Lock_wait} and the held section as {!Iw_phase.Service}, and
+    both are timed on the timer's clock.
     Exception-safe: the lock is released and the hold time recorded
     whatever [f] does. *)
 

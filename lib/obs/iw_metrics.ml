@@ -16,13 +16,17 @@ type gauge = {
   mutable g_value : float;
 }
 
+(* The sum lives in a one-field float record, stored flat: a float field
+   beside the other fields would be boxed anew on every observation. *)
+type sum = { mutable sum : float }
+
 type histogram = {
   h_on : bool ref;
   h_unit : string;
   h_bounds : float array;
   h_counts : int array;  (* length (Array.length h_bounds) + 1: last = overflow *)
   mutable h_count : int;
-  mutable h_sum : float;
+  h_sum : sum;
 }
 
 type probe_fn = {
@@ -147,7 +151,7 @@ let make_hist t name help unit_ bounds =
           h_bounds = bounds;
           h_counts = Array.make (Array.length bounds + 1) 0;
           h_count = 0;
-          h_sum = 0.;
+          h_sum = { sum = 0. };
         }
       in
       (h, I_hist h))
@@ -172,7 +176,7 @@ let observe h v =
     done;
     h.h_counts.(!i) <- h.h_counts.(!i) + 1;
     h.h_count <- h.h_count + 1;
-    h.h_sum <- h.h_sum +. v
+    h.h_sum.sum <- h.h_sum.sum +. v
   end
 
 let now_us () = Unix.gettimeofday () *. 1e6
@@ -181,6 +185,24 @@ let probe t ?(help = "") ?(kind = `Counter) name read =
   register t name help
     (fun () -> ((), I_probe { p_kind = kind; p_read = read }))
     (function I_probe _ -> Some () | _ -> None)
+
+(* A handle resolved on first use.  The field is written without a lock:
+   a racing first use stores the handle the idempotent registration
+   returned to both callers, so either write is the same value. *)
+type 'a slot = {
+  mutable sl_handle : 'a option;
+  sl_make : unit -> 'a;
+}
+
+let slot make = { sl_handle = None; sl_make = make }
+
+let resolve s =
+  match s.sl_handle with
+  | Some h -> h
+  | None ->
+    let h = s.sl_make () in
+    s.sl_handle <- Some h;
+    h
 
 (* Snapshots. *)
 
@@ -226,7 +248,7 @@ let snapshot t =
                 hv_bounds = h.h_bounds;
                 hv_counts = Array.copy h.h_counts;
                 hv_count = h.h_count;
-                hv_sum = h.h_sum;
+                hv_sum = h.h_sum.sum;
               }
         in
         { s_name = name; s_help = help; s_value = value } :: acc)

@@ -79,6 +79,23 @@ val probe :
     {!Iw_server.stats}) are re-backed onto the registry without adding any
     cost to the paths that maintain them.  [kind] defaults to [`Counter]. *)
 
+(** {1 Lazily resolved handles}
+
+    A hot path that observes a labeled series should not rebuild the label
+    string and look the instrument up by name on every event.  A slot
+    holds the registration thunk and caches the handle on first use, so
+    the series still appears only once something has been observed on it
+    (an eagerly registered instrument would show up as a zero-count series
+    in every snapshot).  Concurrent first uses may both run the thunk; with
+    an idempotent registration they get the same handle. *)
+
+type 'a slot
+
+val slot : (unit -> 'a) -> 'a slot
+
+val resolve : 'a slot -> 'a
+(** The cached handle; runs the thunk the first time. *)
+
 (** {1 Snapshots} *)
 
 type hist_view = {

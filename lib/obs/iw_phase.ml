@@ -18,31 +18,49 @@ let name = function
   | Wal -> "wal"
   | Reply -> "reply"
 
-(* Exclusive attribution: [stack] holds the open phases, innermost first;
-   [last] is the instant attribution last changed hands.  Every transition
-   charges [now - last] to the phase that owned the interval. *)
+(* Exclusive attribution: [stack.(0 .. depth - 1)] holds the open phases,
+   innermost last; [acc.(last_at)] is the instant attribution last changed
+   hands.  Every transition charges [now - last] to the phase that owned
+   the interval.  Floats live in [acc] and phases in an int-like array, so
+   a transition allocates nothing; without an injected clock the wall
+   clock is read unboxed. *)
 type timer = {
-  clock : unit -> float;
-  t_start : float;
-  mutable stack : phase list;
-  mutable last : float;
-  acc : float array;  (* exclusive seconds per phase *)
+  clock : (unit -> float) option;
+  mutable depth : int;
+  mutable stack : phase array;
+  acc : float array;
+      (* exclusive seconds per phase, then the start and last instants *)
 }
 
-let start ?(clock = Unix.gettimeofday) () =
-  let now = clock () in
-  { clock; t_start = now; stack = []; last = now; acc = Array.make n_phases 0. }
+let start_at = n_phases
+
+let last_at = n_phases + 1
+
+let[@inline] now t = match t.clock with None -> Unix.gettimeofday () | Some c -> c ()
+
+let start ?clock () =
+  let t =
+    { clock; depth = 0; stack = Array.make 4 Decode; acc = Array.make (n_phases + 2) 0. }
+  in
+  let now = now t in
+  t.acc.(start_at) <- now;
+  t.acc.(last_at) <- now;
+  t
 
 let charge_open t now =
-  match t.stack with
-  | [] -> ()
-  | p :: _ -> t.acc.(index p) <- t.acc.(index p) +. (now -. t.last)
+  if t.depth > 0 then begin
+    let i = index t.stack.(t.depth - 1) in
+    t.acc.(i) <- t.acc.(i) +. (now -. t.acc.(last_at))
+  end
 
-let enter t p =
-  let now = t.clock () in
+let enter_at t p now =
   charge_open t now;
-  t.stack <- p :: t.stack;
-  t.last <- now
+  if t.depth = Array.length t.stack then t.stack <- Array.append t.stack t.stack;
+  t.stack.(t.depth) <- p;
+  t.depth <- t.depth + 1;
+  t.acc.(last_at) <- now
+
+let enter t p = enter_at t p (now t)
 
 (* Credit already-measured time to a phase without opening it.  Used when
    the interval happened where enter/leave cannot bracket it — a request
@@ -50,25 +68,26 @@ let enter t p =
    the worker domain is Lock_wait, but no phase is open while it waits. *)
 let add t p us = t.acc.(index p) <- t.acc.(index p) +. (us /. 1e6)
 
-let rec leave t p =
-  match t.stack with
-  | [] -> ()
-  | top :: rest ->
-    let now = t.clock () in
-    t.acc.(index top) <- t.acc.(index top) +. (now -. t.last);
-    t.stack <- rest;
-    t.last <- now;
+let rec leave_at t p now =
+  if t.depth > 0 then begin
+    let top = t.stack.(t.depth - 1) in
+    charge_open t now;
+    t.depth <- t.depth - 1;
+    t.acc.(last_at) <- now;
     (* Close abandoned inner phases (a handler raised between enter and
        leave) until the named one has been closed. *)
-    if top <> p then leave t p
+    if top <> p then leave_at t p now
+  end
+
+let leave t p = leave_at t p (now t)
 
 let elapsed_us t p =
   let base = t.acc.(index p) *. 1e6 in
-  match t.stack with
-  | top :: _ when top = p -> base +. ((t.clock () -. t.last) *. 1e6)
-  | _ -> base
+  if t.depth > 0 && t.stack.(t.depth - 1) = p then
+    base +. ((now t -. t.acc.(last_at)) *. 1e6)
+  else base
 
-let total_us t = (t.clock () -. t.t_start) *. 1e6
+let total_us t = (now t -. t.acc.(start_at)) *. 1e6
 
 type stats = {
   mutex : Mutex.t;
@@ -95,26 +114,30 @@ let locked s f =
   Mutex.lock s.mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock s.mutex) f
 
-let record s ~variant ~total_us t =
+type variant = Iw_hist.t array
+
+let variant s name =
   locked s (fun () ->
-      let per_var =
-        match Hashtbl.find_opt s.by_variant variant with
-        | Some a -> a
-        | None ->
-          let a = Array.init n_phases (fun _ -> Iw_hist.create ~error:s.error ()) in
-          Hashtbl.add s.by_variant variant a;
-          a
-      in
-      List.iter
-        (fun p ->
-          let i = index p in
-          let us = t.acc.(i) *. 1e6 in
-          Iw_hist.record s.by_phase.(i) us;
-          Iw_hist.record per_var.(i) us;
-          s.sums.(i) <- s.sums.(i) +. us)
-        phases;
-      Iw_hist.record s.total total_us;
-      s.total_sum <- s.total_sum +. total_us)
+      match Hashtbl.find_opt s.by_variant name with
+      | Some a -> a
+      | None ->
+        let a = Array.init n_phases (fun _ -> Iw_hist.create ~error:s.error ()) in
+        Hashtbl.add s.by_variant name a;
+        a)
+
+(* Once per request: a plain lock/unlock pair and a loop, no closure.
+   Nothing between them can raise. *)
+let record s per_var ~total_us t =
+  Mutex.lock s.mutex;
+  for i = 0 to n_phases - 1 do
+    let us = t.acc.(i) *. 1e6 in
+    Iw_hist.record s.by_phase.(i) us;
+    Iw_hist.record per_var.(i) us;
+    s.sums.(i) <- s.sums.(i) +. us
+  done;
+  Iw_hist.record s.total total_us;
+  s.total_sum <- s.total_sum +. total_us;
+  Mutex.unlock s.mutex
 
 let phase_summary s p = locked s (fun () -> Iw_hist.summary s.by_phase.(index p))
 

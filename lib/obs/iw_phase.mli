@@ -11,8 +11,8 @@
     service phase) suspends the enclosing one, so the per-phase times sum
     to the bracketed wall time with nothing counted twice.
 
-    Timers are single-owner values — cheap (a float array, no allocation
-    per transition) and not thread-safe.  Ownership may be handed off
+    Timers are single-owner values — cheap (no allocation per transition)
+    and not thread-safe.  Ownership may be handed off
     (connection thread → shard worker → connection thread) as long as each
     handoff synchronizes through a mutex or condition variable, which the
     shard mailbox does; only one thread touches the timer at a time.  Finished timers are folded into a {!stats} accumulator
@@ -60,6 +60,16 @@ val leave : timer -> phase -> unit
     phases still open are closed first, so a handler that raises between
     [enter] and [leave] cannot corrupt attribution. *)
 
+val now : timer -> float
+(** The timer's clock, in seconds. *)
+
+val enter_at : timer -> phase -> float -> unit
+(** {!enter} at an instant the caller already read from {!now} — a caller
+    timing the same interval itself saves a clock read. *)
+
+val leave_at : timer -> phase -> float -> unit
+(** {!leave} at an instant already read from {!now}. *)
+
 val elapsed_us : timer -> phase -> float
 (** Exclusive microseconds accumulated so far for [phase]. *)
 
@@ -72,11 +82,22 @@ val create_stats : ?error:float -> unit -> stats
 (** An accumulator of finished timers.  [error] is the {!Iw_hist} relative
     error bound (default [0.01]).  Thread-safe. *)
 
-val record : stats -> variant:string -> total_us:float -> timer -> unit
+type variant
+(** One request variant's per-phase accumulators. *)
+
+val variant : stats -> string -> variant
+(** The named variant's accumulators, created on first call (idempotent:
+    every call for a name returns the same value).  A variant exists for
+    {!variants} and {!variant_summary} from its first call, so resolve it
+    just before its first {!record}; a hot caller resolves it once and
+    keeps it. *)
+
+val record : stats -> variant -> total_us:float -> timer -> unit
 (** Fold one finished request in: each phase's exclusive time lands in the
     per-phase and per-(variant, phase) histograms, [total_us] in the total
     histogram.  Phases with zero accumulated time are recorded too — their
-    zeros keep per-phase counts comparable to the total count. *)
+    zeros keep per-phase counts comparable to the total count.  One mutex
+    acquisition; no allocation beyond the recorded floats. *)
 
 val phase_summary : stats -> phase -> Iw_hist.summary
 (** All variants merged. *)

@@ -16,7 +16,8 @@ type entry = {
 (* The current window's entries are a sorted-ascending list of length <= k:
    admission is "is it slower than the current fastest survivor", insertion
    keeps the order.  K is small (tens), so list surgery beats a heap on
-   simplicity and is just as fast. *)
+   simplicity and is just as fast.  Once a window's top K is full almost no
+   request qualifies, so the entry is only built for one that does. *)
 type t = {
   mutex : Mutex.t;
   k : int;
@@ -24,6 +25,7 @@ type t = {
   min_us : float;
   mutable cur_start : float;
   mutable cur : entry list;  (* ascending by latency, length <= k *)
+  mutable cur_len : int;  (* List.length cur *)
   mutable prev : entry list;
 }
 
@@ -35,6 +37,7 @@ let create ?(k = 32) ?(window_s = 10.) ?(min_us = 0.) () =
     min_us = max 0. min_us;
     cur_start = Unix.gettimeofday ();
     cur = [];
+    cur_len = 0;
     prev = [];
   }
 
@@ -62,6 +65,7 @@ let roll_locked t now =
     if now -. t.cur_start >= 2. *. t.window_s then t.prev <- []
     else t.prev <- t.cur;
     t.cur <- [];
+    t.cur_len <- 0;
     t.cur_start <- now
   end
 
@@ -75,29 +79,35 @@ let observe t ~variant ~segment ~session ~seq ~trace_id ~span_id
     latency_us =
   if t.k > 0 && latency_us >= t.min_us then begin
     let now = Unix.gettimeofday () in
-    let entry =
-      {
-        e_t = now;
-        e_variant = variant;
-        e_segment = segment;
-        e_session = session;
-        e_seq = seq;
-        e_trace_id = trace_id;
-        e_span_id = span_id;
-        e_latency_us = latency_us;
-        e_wait_us = wait_us;
-        e_service_us = service_us;
-        e_wal_us = wal_us;
-        e_deadline_missed = deadline_missed;
-      }
-    in
     Mutex.lock t.mutex;
     roll_locked t now;
-    (match t.cur with
-    | fastest :: rest when List.length t.cur >= t.k ->
-      if latency_us > fastest.e_latency_us then
-        t.cur <- insert_sorted entry rest
-    | _ -> t.cur <- insert_sorted entry t.cur);
+    let full = t.cur_len >= t.k in
+    let qualifies =
+      match t.cur with
+      | fastest :: _ when full -> latency_us > fastest.e_latency_us
+      | _ -> true
+    in
+    if qualifies then begin
+      let entry =
+        {
+          e_t = now;
+          e_variant = variant;
+          e_segment = segment;
+          e_session = session;
+          e_seq = seq;
+          e_trace_id = trace_id;
+          e_span_id = span_id;
+          e_latency_us = latency_us;
+          e_wait_us = wait_us;
+          e_service_us = service_us;
+          e_wal_us = wal_us;
+          e_deadline_missed = deadline_missed;
+        }
+      in
+      (* A full window evicts its fastest survivor. *)
+      t.cur <- insert_sorted entry (match t.cur with _ :: rest when full -> rest | l -> l);
+      if not full then t.cur_len <- t.cur_len + 1
+    end;
     Mutex.unlock t.mutex
   end
 

@@ -89,27 +89,38 @@ type request =
       limit : int;
     }
 
-let request_variant = function
-  | Hello _ -> "hello"
-  | Open_segment _ -> "open_segment"
-  | Segment_meta _ -> "segment_meta"
-  | Read_lock _ -> "read_lock"
-  | Read_release _ -> "read_release"
-  | Write_lock _ -> "write_lock"
-  | Write_release _ -> "write_release"
-  | Register_desc _ -> "register_desc"
-  | Get_version _ -> "get_version"
-  | Checkpoint _ -> "checkpoint"
-  | Stat _ -> "stat"
-  | Subscribe _ -> "subscribe"
-  | Unsubscribe _ -> "unsubscribe"
-  | Server_stats _ -> "server_stats"
-  | Segment_stats _ -> "segment_stats"
-  | Flight_recorder _ -> "flight_recorder"
-  | Resume_session _ -> "resume_session"
-  | Enable_crc _ -> "enable_crc"
-  | Slow_log _ -> "slow_log"
-  | Metrics_history _ -> "metrics_history"
+let request_variant_index = function
+  | Hello _ -> 0
+  | Open_segment _ -> 1
+  | Segment_meta _ -> 2
+  | Read_lock _ -> 3
+  | Read_release _ -> 4
+  | Write_lock _ -> 5
+  | Write_release _ -> 6
+  | Register_desc _ -> 7
+  | Get_version _ -> 8
+  | Checkpoint _ -> 9
+  | Stat _ -> 10
+  | Subscribe _ -> 11
+  | Unsubscribe _ -> 12
+  | Server_stats _ -> 13
+  | Segment_stats _ -> 14
+  | Flight_recorder _ -> 15
+  | Resume_session _ -> 16
+  | Enable_crc _ -> 17
+  | Slow_log _ -> 18
+  | Metrics_history _ -> 19
+
+let request_variants =
+  [|
+    "hello"; "open_segment"; "segment_meta"; "read_lock"; "read_release";
+    "write_lock"; "write_release"; "register_desc"; "get_version"; "checkpoint";
+    "stat"; "subscribe"; "unsubscribe"; "server_stats"; "segment_stats";
+    "flight_recorder"; "resume_session"; "enable_crc"; "slow_log";
+    "metrics_history";
+  |]
+
+let request_variant req = request_variants.(request_variant_index req)
 
 let request_session = function
   | Hello _ -> None

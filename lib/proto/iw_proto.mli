@@ -128,6 +128,15 @@ val request_variant : request -> string
 (** Stable lowercase tag for a request ([read_lock], [write_release], ...),
     used as a metric label. *)
 
+val request_variant_index : request -> int
+(** Dense index of the request's variant, in
+    [0 .. Array.length request_variants - 1]: lets a server keep
+    per-variant state in an array instead of looking it up by name. *)
+
+val request_variants : string array
+(** Every variant's {!request_variant} tag, at its
+    {!request_variant_index}.  Do not mutate. *)
+
 val request_session : request -> int option
 (** The session a request belongs to ([None] for [Hello], which creates
     one).  Servers use it to refresh per-session inactivity leases. *)

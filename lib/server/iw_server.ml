@@ -42,6 +42,17 @@ and sblock = {
   mutable sb_node : vnode;
 }
 
+(* A segment's {segment="..."} series, each registered on its first
+   observation.  Only touched under the owning shard's lock. *)
+type seg_obs = {
+  so_version_lag : Iw_metrics.histogram Iw_metrics.slot;
+  so_staleness : Iw_metrics.histogram Iw_metrics.slot;
+  so_wasted_acquire : Iw_metrics.counter Iw_metrics.slot;
+  so_diff_saved : Iw_metrics.counter Iw_metrics.slot;
+  so_wl_wait : Iw_metrics.histogram Iw_metrics.slot;
+  so_version : Iw_metrics.gauge Iw_metrics.slot;
+}
+
 type seg = {
   s_name : string;
   mutable s_version : int;
@@ -67,6 +78,7 @@ type seg = {
       (* session -> (diff from_version, committed version) of its last
          applied Write_release — lets a release retried over a fresh
          connection be recognized as a duplicate instead of refused *)
+  s_obs : seg_obs;
 }
 
 (* One shard: the owner of a disjoint set of segments.  Everything reachable
@@ -127,6 +139,12 @@ type t = {
   t_flight : Iw_flight.t;
   t_slowlog : Iw_slowlog.t;
   t_phase : Iw_phase.stats;  (* per-(variant, phase) exact histograms *)
+  t_request_us : Iw_metrics.histogram Iw_metrics.slot array;
+      (* iw_server_request_us{variant=...}, by Iw_proto.request_variant_index *)
+  t_phase_variant : Iw_phase.variant Iw_metrics.slot array;  (* same index *)
+  t_request_total_us : Iw_metrics.histogram Iw_metrics.slot;
+  t_phase_us : Iw_metrics.histogram Iw_metrics.slot array;
+      (* iw_server_phase_us{phase=...}, parallel to [server_phases] *)
   t_ring : Iw_ring.t;  (* windowed metric history, rolled lazily *)
   t_ring_mutex : Mutex.t;
   mutable t_ring_last : (float * Iw_metrics.snapshot) option;
@@ -308,27 +326,47 @@ let make_block seg ~serial ~name ~desc_serial ~version =
   sb
 
 (* Per-segment coherence observability.  Series carry a {segment="..."}
-   label; registration is idempotent and the registry locks it, so looking
-   the instrument up by name at each observation is safe from concurrent
-   connection threads — the same pattern as the per-variant dispatch
-   histograms.  Every call site is gated on [Iw_metrics.enabled]. *)
+   label and are resolved once per segment, on first observation, through
+   the segment's [s_obs] slots.  Every call site is gated on
+   [Iw_metrics.enabled]. *)
 
-let seg_hist_count t seg base help =
-  Iw_metrics.histogram_count t.t_metrics ~help
-    (Iw_metrics.with_label base "segment" seg.s_name)
+let seg_obs m name =
+  let label base = Iw_metrics.with_label base "segment" name in
+  {
+    so_version_lag =
+      Iw_metrics.slot (fun () ->
+          Iw_metrics.histogram_count m
+            ~help:"Server version minus client cached version at lock acquire"
+            (label "iw_seg_version_lag"));
+    so_staleness =
+      Iw_metrics.slot (fun () ->
+          Iw_metrics.histogram_us m
+            ~help:"Realized staleness of the client's cached copy at lock acquire"
+            (label "iw_seg_staleness_us"));
+    so_wasted_acquire =
+      Iw_metrics.slot (fun () ->
+          Iw_metrics.counter m
+            ~help:"Lock acquires that found the client cache already current"
+            (label "iw_seg_wasted_acquire_total"));
+    so_diff_saved =
+      Iw_metrics.slot (fun () ->
+          Iw_metrics.counter m
+            ~help:"Bytes saved by diff transfers vs full-segment copies"
+            (label "iw_seg_diff_bytes_saved_total"));
+    so_wl_wait =
+      Iw_metrics.slot (fun () ->
+          Iw_metrics.histogram_us m
+            ~help:"Write-lock wait under contention, first busy to grant"
+            (label "iw_seg_wl_wait_us"));
+    so_version =
+      Iw_metrics.slot (fun () ->
+          Iw_metrics.gauge m ~help:"Current version by segment"
+            (label "iw_server_segment_version"));
+  }
 
-let seg_hist_us t seg base help =
-  Iw_metrics.histogram_us t.t_metrics ~help
-    (Iw_metrics.with_label base "segment" seg.s_name)
-
-let seg_counter t seg base help =
-  Iw_metrics.counter t.t_metrics ~help
-    (Iw_metrics.with_label base "segment" seg.s_name)
-
-let observe_version_lag t seg ~version =
+let observe_version_lag seg ~version =
   Iw_metrics.observe
-    (seg_hist_count t seg "iw_seg_version_lag"
-       "Server version minus client cached version at lock acquire")
+    (Iw_metrics.resolve seg.s_obs.so_version_lag)
     (float_of_int (max 0 (seg.s_version - version)))
 
 (* Realized staleness: how long ago the client's cached version was
@@ -336,21 +374,18 @@ let observe_version_lag t seg ~version =
    already replaced (nonzero in practice only under relaxed coherence).
    Needs the commit wall time of [version + 1], kept in a bounded
    version-time table. *)
-let observe_staleness t seg ~version =
+let observe_staleness seg ~version =
   if version > 0 && version < seg.s_version then
     match Hashtbl.find_opt seg.s_vtimes (version + 1) with
     | Some superseded_at ->
       Iw_metrics.observe
-        (seg_hist_us t seg "iw_seg_staleness_us"
-           "Realized staleness of the client's cached copy at lock acquire")
+        (Iw_metrics.resolve seg.s_obs.so_staleness)
         (Float.max 0. (Iw_metrics.now_us () -. superseded_at *. 1e6))
     | None -> ()
 
-let observe_wasted_acquire t seg ~version =
+let observe_wasted_acquire seg ~version =
   if version > 0 && version = seg.s_version then
-    Iw_metrics.incr
-      (seg_counter t seg "iw_seg_wasted_acquire_total"
-         "Lock acquires that found the client cache already current")
+    Iw_metrics.incr (Iw_metrics.resolve seg.s_obs.so_wasted_acquire)
 
 let diff_payload_bytes (diff : Iw_wire.Diff.t) =
   List.fold_left
@@ -366,12 +401,9 @@ let diff_payload_bytes (diff : Iw_wire.Diff.t) =
 
 (* Bytes a diff saved over shipping the whole segment's master copy — the
    paper's core bandwidth argument, now measurable per segment. *)
-let note_diff_saved t seg (diff : Iw_wire.Diff.t) =
+let note_diff_saved seg (diff : Iw_wire.Diff.t) =
   let saved = seg.s_data_bytes - diff_payload_bytes diff in
-  if saved > 0 then
-    Iw_metrics.incr ~by:saved
-      (seg_counter t seg "iw_seg_diff_bytes_saved_total"
-         "Bytes saved by diff transfers vs full-segment copies")
+  if saved > 0 then Iw_metrics.incr ~by:saved (Iw_metrics.resolve seg.s_obs.so_diff_saved)
 
 let vtimes_capacity = 512
 
@@ -475,10 +507,7 @@ let apply_diff t seg (diff : Iw_wire.Diff.t) =
     t.t_stats.diffs_applied <- t.t_stats.diffs_applied + 1;
     Iw_metrics.incr t.t_version_advances;
     if Iw_metrics.enabled t.t_metrics then
-      Iw_metrics.set_gauge
-        (Iw_metrics.gauge t.t_metrics ~help:"Current version by segment"
-           (Iw_metrics.with_label "iw_server_segment_version" "segment" seg.s_name))
-        (float_of_int v);
+      Iw_metrics.set_gauge (Iw_metrics.resolve seg.s_obs.so_version) (float_of_int v);
     if Iw_trace.enabled () then
       Iw_trace.instant
         ~args:[ ("segment", seg.s_name); ("version", string_of_int v) ]
@@ -688,7 +717,7 @@ let update_for t sh seg ~session ~since =
     changes;
   }
 
-let fresh_seg name =
+let fresh_seg m name =
   let head, tail = new_list () in
   {
     s_name = name;
@@ -712,6 +741,7 @@ let fresh_seg name =
     s_vtimes_order = Queue.create ();
     s_busy_since = Hashtbl.create 4;
     s_releases = Hashtbl.create 4;
+    s_obs = seg_obs m name;
   }
 
 (* Checkpointing (paper, Sec. 2.2): serialize each segment — metadata,
@@ -806,7 +836,7 @@ let write_checkpoint dir seg =
   in
   Iw_store.write_atomically path (Iw_store.seal (Iw_wire.Buf.contents buf))
 
-let read_checkpoint path =
+let read_checkpoint m path =
   let ic = open_in_bin path in
   let len = in_channel_length ic in
   let data = really_input_string ic len in
@@ -820,7 +850,7 @@ let read_checkpoint path =
   if Iw_wire.Reader.string r <> Iw_store.checkpoint_magic then
     raise (Iw_wire.Malformed "bad checkpoint magic");
   let name = Iw_wire.Reader.string r in
-  let seg = fresh_seg name in
+  let seg = fresh_seg m name in
   seg.s_version <- Iw_wire.Reader.u32 r;
   let ndescs = Iw_wire.Reader.u32 r in
   for _ = 1 to ndescs do
@@ -906,7 +936,7 @@ let recover_store t store =
     match Hashtbl.find_opt (shard_of t name).sh_segs name with
     | Some seg -> seg
     | None ->
-      let seg = fresh_seg name in
+      let seg = fresh_seg t.t_metrics name in
       adopt seg;
       seg
   in
@@ -960,7 +990,7 @@ let recover_store t store =
     (fun f ->
       if Filename.check_suffix f Iw_store.checkpoint_suffix then begin
         let path = Filename.concat dir f in
-        match read_checkpoint path with
+        match read_checkpoint t.t_metrics path with
         | seg -> adopt seg
         | exception (Iw_wire.Malformed msg | Sys_error msg) ->
           let dst = Iw_store.quarantine path in
@@ -1096,6 +1126,9 @@ let env_queue_max () =
              "IW_SHARD_QUEUE_MAX: expected a non-negative integer, got %S" s))
   in
   if v = 0 then None else Some v
+
+(* The lifecycle phases in pipeline order, indexed like [t_phase_us]. *)
+let server_phases = Array.of_list Iw_phase.phases
 
 let create ?checkpoint_dir ?(diff_cache_capacity = 64) ?domains ?lease_secs ?fsync
     ?queue_max () =
@@ -1259,6 +1292,7 @@ let create ?checkpoint_dir ?(diff_cache_capacity = 64) ?domains ?lease_secs ?fsy
         (label "iw_server_overload_state")
         (fun () -> float_of_int (Atomic.get sh.sh_state)))
     shards;
+  let t_phase = Iw_phase.create_stats () in
   let t =
     {
       shards;
@@ -1275,7 +1309,35 @@ let create ?checkpoint_dir ?(diff_cache_capacity = 64) ?domains ?lease_secs ?fsy
       t_metrics;
       t_flight;
       t_slowlog;
-      t_phase = Iw_phase.create_stats ();
+      t_phase;
+      (* Request-path instruments: every slot resolves on the request that
+         first observes it, so a series a request never reached stays out
+         of snapshots. *)
+      t_request_us =
+        Array.map
+          (fun variant ->
+            Iw_metrics.slot (fun () ->
+                Iw_metrics.histogram_us t_metrics
+                  ~help:"Request dispatch latency by request variant"
+                  (Iw_metrics.with_label "iw_server_request_us" "variant" variant)))
+          Iw_proto.request_variants;
+      t_phase_variant =
+        Array.map
+          (fun variant -> Iw_metrics.slot (fun () -> Iw_phase.variant t_phase variant))
+          Iw_proto.request_variants;
+      t_request_total_us =
+        Iw_metrics.slot (fun () ->
+            Iw_metrics.histogram_us t_metrics
+              ~help:"End-to-end request latency, arrival to reply written"
+              "iw_server_request_total_us");
+      t_phase_us =
+        Array.map
+          (fun p ->
+            Iw_metrics.slot (fun () ->
+                Iw_metrics.histogram_us t_metrics
+                  ~help:"Exclusive request time by lifecycle phase"
+                  (Iw_metrics.with_label "iw_server_phase_us" "phase" (Iw_phase.name p))))
+          server_phases;
       t_ring = Iw_ring.of_env ();
       t_ring_mutex = Mutex.create ();
       t_ring_last = None;
@@ -1440,8 +1502,20 @@ let ring_delta_hist (nw : Iw_metrics.hist_view) (old : Iw_metrics.hist_view opti
     }
   | Some _ | None -> nw
 
+let lock_wait_series = Iw_metrics.with_label "iw_server_phase_us" "phase" "lock_wait"
+
+(* One window's point, and the window's lock-wait p99 when it saw any lock
+   wait.  The old snapshot is indexed once, so a roll costs one pass over
+   each snapshot rather than a scan of the old one per kept series. *)
 let ring_point ~t0 ~t1 old_snap new_snap =
   let dt = Float.max 1e-9 (t1 -. t0) in
+  let old = Hashtbl.create 64 in
+  List.iter
+    (fun (s : Iw_metrics.sample) ->
+      if ring_keep s.s_name && not (Hashtbl.mem old s.s_name) then
+        Hashtbl.add old s.s_name s.s_value)
+    old_snap;
+  let lock_wait_p99 = ref None in
   let values =
     List.concat_map
       (fun (s : Iw_metrics.sample) ->
@@ -1450,7 +1524,7 @@ let ring_point ~t0 ~t1 old_snap new_snap =
           match s.s_value with
           | Iw_metrics.V_counter v ->
             let prev =
-              match Iw_metrics.find old_snap s.s_name with
+              match Hashtbl.find_opt old s.s_name with
               | Some (Iw_metrics.V_counter p) -> p
               | _ -> 0.
             in
@@ -1458,22 +1532,25 @@ let ring_point ~t0 ~t1 old_snap new_snap =
           | Iw_metrics.V_gauge v -> [ (s.s_name, v) ]
           | Iw_metrics.V_hist hv ->
             let prev =
-              match Iw_metrics.find old_snap s.s_name with
+              match Hashtbl.find_opt old s.s_name with
               | Some (Iw_metrics.V_hist p) -> Some p
               | _ -> None
             in
             let d = ring_delta_hist hv prev in
             let rate = float_of_int d.Iw_metrics.hv_count /. dt in
             if d.Iw_metrics.hv_count = 0 then [ (s.s_name ^ ":rate", rate) ]
-            else
+            else begin
+              let p99 = Iw_metrics.hist_quantile d 0.99 in
+              if s.s_name = lock_wait_series then lock_wait_p99 := Some p99;
               [
                 (s.s_name ^ ":rate", rate);
                 (s.s_name ^ ":p50", Iw_metrics.hist_quantile d 0.5);
-                (s.s_name ^ ":p99", Iw_metrics.hist_quantile d 0.99);
-              ])
+                (s.s_name ^ ":p99", p99);
+              ]
+            end)
       new_snap
   in
-  { Iw_ring.p_t = t1; p_dur = t1 -. t0; p_values = values }
+  ({ Iw_ring.p_t = t1; p_dur = t1 -. t0; p_values = values }, !lock_wait_p99)
 
 (* Roll the ring if a window has elapsed.  Called at the end of request
    dispatch (outside the server lock) and from the Metrics_history handler
@@ -1497,16 +1574,13 @@ let maybe_roll t =
             let snap = Iw_metrics.snapshot t.t_metrics in
             (match t.t_ring_last with
             | Some (t0, old) when now > t0 ->
-              let point = ring_point ~t0 ~t1:now old snap in
+              let point, lock_wait_p99 = ring_point ~t0 ~t1:now old snap in
               Iw_ring.push t.t_ring point;
               (* Trend boost input for [overload_update]: reading it here,
                  once per window, keeps the request path free of ring
                  locking. *)
               let hot =
-                match
-                  List.assoc_opt "iw_server_phase_us{phase=\"lock_wait\"}:p99"
-                    point.Iw_ring.p_values
-                with
+                match lock_wait_p99 with
                 | Some p99 -> p99 >= Lazy.force shed_lockwait_us
                 | None -> false
               in
@@ -1647,7 +1721,7 @@ let handle_seg_locked ?timer t sh (req : Iw_proto.request) : Iw_proto.response =
     | None ->
       if not create then R_error (Printf.sprintf "unknown segment %S" name)
       else begin
-        Hashtbl.replace sh.sh_segs name (fresh_seg name);
+        Hashtbl.replace sh.sh_segs name (fresh_seg t.t_metrics name);
         Atomic.incr sh.sh_nsegs;
         R_segment { version = 0 }
       end
@@ -1694,14 +1768,14 @@ let handle_seg_locked ?timer t sh (req : Iw_proto.request) : Iw_proto.response =
         float_of_int counter /. float_of_int seg.s_total_units *. 100. <= pct
     in
     if Iw_metrics.enabled t.t_metrics then begin
-      observe_version_lag t seg ~version;
-      observe_staleness t seg ~version;
-      observe_wasted_acquire t seg ~version
+      observe_version_lag seg ~version;
+      observe_staleness seg ~version;
+      observe_wasted_acquire seg ~version
     end;
     if recent_enough then R_up_to_date
     else begin
       let diff = update_for t sh seg ~session ~since:version in
-      if Iw_metrics.enabled t.t_metrics then note_diff_saved t seg diff;
+      if Iw_metrics.enabled t.t_metrics then note_diff_saved seg diff;
       R_update diff
     end
   | Read_release _ -> R_ok
@@ -1745,16 +1819,14 @@ let handle_seg_locked ?timer t sh (req : Iw_proto.request) : Iw_proto.response =
         R_busy
       | Some _ | None ->
         if Iw_metrics.enabled t.t_metrics then begin
-          observe_version_lag t seg ~version;
-          observe_wasted_acquire t seg ~version;
+          observe_version_lag seg ~version;
+          observe_wasted_acquire seg ~version;
           (* Contended waits only: the retry loop's first R_busy started the
              clock, the grant stops it. *)
           match Hashtbl.find_opt seg.s_busy_since session with
           | Some since ->
             Hashtbl.remove seg.s_busy_since session;
-            Iw_metrics.observe
-              (seg_hist_us t seg "iw_seg_wl_wait_us"
-                 "Write-lock wait under contention, first busy to grant")
+            Iw_metrics.observe (Iw_metrics.resolve seg.s_obs.so_wl_wait)
               (Iw_metrics.now_us () -. since)
           | None -> ()
         end;
@@ -1762,7 +1834,7 @@ let handle_seg_locked ?timer t sh (req : Iw_proto.request) : Iw_proto.response =
         if version = seg.s_version then R_granted None
         else begin
           let diff = update_for t sh seg ~session ~since:version in
-          if Iw_metrics.enabled t.t_metrics then note_diff_saved t seg diff;
+          if Iw_metrics.enabled t.t_metrics then note_diff_saved seg diff;
           R_granted (Some diff)
         end
     end
@@ -1786,7 +1858,7 @@ let handle_seg_locked ?timer t sh (req : Iw_proto.request) : Iw_proto.response =
                           (fun i -> Format.asprintf "%a" Iw_wire_check.pp_issue i)
                           issues))))
         end;
-        if Iw_metrics.enabled t.t_metrics then note_diff_saved t seg diff;
+        if Iw_metrics.enabled t.t_metrics then note_diff_saved seg diff;
         let before = seg.s_version in
         let v = apply_diff t seg diff in
         (* Log before acking: once R_version goes out, the commit must
@@ -2146,32 +2218,27 @@ let response_version : Iw_proto.response -> int = function
    histogram, and a lazy ring roll.  Called by serve_conn after the reply
    frame is written (so the reply phase is included) and by [handle] itself
    for direct links, which have no transport phases. *)
-let finish_request t ~variant timer =
+let finish_request t req timer =
   if Iw_metrics.enabled t.t_metrics then begin
     let total = Iw_phase.total_us timer in
-    Iw_metrics.observe
-      (Iw_metrics.histogram_us t.t_metrics
-         ~help:"End-to-end request latency, arrival to reply written"
-         "iw_server_request_total_us")
-      total;
-    List.iter
-      (fun p ->
-        Iw_metrics.observe
-          (Iw_metrics.histogram_us t.t_metrics
-             ~help:"Exclusive request time by lifecycle phase"
-             (Iw_metrics.with_label "iw_server_phase_us" "phase" (Iw_phase.name p)))
-          (Iw_phase.elapsed_us timer p))
-      Iw_phase.phases;
-    Iw_phase.record t.t_phase ~variant ~total_us:total timer;
+    Iw_metrics.observe (Iw_metrics.resolve t.t_request_total_us) total;
+    for i = 0 to Array.length server_phases - 1 do
+      Iw_metrics.observe
+        (Iw_metrics.resolve t.t_phase_us.(i))
+        (Iw_phase.elapsed_us timer server_phases.(i))
+    done;
+    Iw_phase.record t.t_phase
+      (Iw_metrics.resolve t.t_phase_variant.(Iw_proto.request_variant_index req))
+      ~total_us:total timer;
     maybe_roll t
   end
 
 (* Per-variant dispatch latency, span adoption, and flight recording.  The
-   registry's own registration lock makes the histogram lookup safe from
-   concurrent connection threads, and registration is idempotent, so there
-   is no per-variant cache to race on.  When a request arrives with a trace
-   context, the dispatch span joins the client's trace: same trace_id, the
-   client's span as parent.
+   per-variant histogram is a slot in [t_request_us]: connection threads
+   may race to fill it on a variant's first request, but each stores the
+   handle the idempotent registration returned, so the race is benign.
+   When a request arrives with a trace context, the dispatch span joins the
+   client's trace: same trace_id, the client's span as parent.
 
    With [timer] (serve_conn passes one started at frame arrival), phase
    attribution covers the whole connection-side lifecycle and the caller
@@ -2222,9 +2289,7 @@ let handle ?ctx ?deadline_us ?timer t req =
     let dt = Iw_metrics.now_us () -. t0 in
     if metrics_on then
       Iw_metrics.observe
-        (Iw_metrics.histogram_us t.t_metrics
-           ~help:"Request dispatch latency by request variant"
-           (Iw_metrics.with_label "iw_server_request_us" "variant" variant))
+        (Iw_metrics.resolve t.t_request_us.(Iw_proto.request_variant_index req))
         dt;
     (* The slow log takes its own short mutex, never the server lock — the
        dispatch is already over.  Trace ids come straight from the envelope,
@@ -2274,7 +2339,7 @@ let handle ?ctx ?deadline_us ?timer t req =
     if trace_on then Iw_trace.span_end "server.handle";
     (if owns_timer then
        match timer with
-       | Some tm -> finish_request t ~variant tm
+       | Some tm -> finish_request t req tm
        | None -> ());
     resp
   end
@@ -2395,7 +2460,7 @@ let serve_conn t conn =
          (match (req, resp) with
          | Iw_proto.Enable_crc _, Iw_proto.R_ok -> Iw_transport.enable_send crc
          | _ -> ());
-         finish_request t ~variant:(Iw_proto.request_variant req) timer
+         finish_request t req timer
        | Error msg ->
          if Iw_flight.enabled t.t_flight then begin
            Iw_flight.record t.t_flight ?seq "decode_error";

@@ -282,6 +282,202 @@ let test_framed_byte_accounting () =
   Alcotest.(check int) "reset zeroes received" 0 st.Iw_client.bytes_received;
   Iw_client.disconnect c
 
+(* Raw protocol driving for the request-path cases below: [handle] is what
+   a direct link calls. *)
+let call t req = Iw_server.handle t req
+
+let session_of t =
+  match call t (Iw_proto.Hello { arch = "x86_32" }) with
+  | Iw_proto.R_hello { session } -> session
+  | _ -> Alcotest.fail "hello failed"
+
+let one_int v =
+  let buf = Iw_wire.Buf.create () in
+  Iw_wire.Buf.u32 buf v;
+  Iw_wire.Buf.contents buf
+
+(* Write-lock [name] at [version] and release [changes]; the new version. *)
+let write_cycle t session name ~version changes =
+  (match call t (Iw_proto.Write_lock { session; name; version }) with
+  | Iw_proto.R_granted _ -> ()
+  | _ -> Alcotest.fail "write lock refused");
+  let diff =
+    { Iw_wire.Diff.from_version = version; to_version = version + 1; new_descs = []; changes }
+  in
+  match call t (Iw_proto.Write_release { session; name; diff }) with
+  | Iw_proto.R_version v -> v
+  | _ -> Alcotest.fail "write release failed"
+
+(* A segment holding one 4-int block (serial 1), at version 1. *)
+let seeded_segment t session name =
+  ignore (call t (Iw_proto.Open_segment { session; name; create = true }));
+  let desc_serial =
+    match
+      call t
+        (Iw_proto.Register_desc
+           { session; name; desc = Iw_types.Array (Prim Iw_arch.Int, 4) })
+    with
+    | Iw_proto.R_serial d -> d
+    | _ -> Alcotest.fail "register failed"
+  in
+  write_cycle t session name ~version:0
+    [
+      Iw_wire.Diff.Create
+        { serial = 1; name = None; desc_serial; payload = String.concat "" (List.init 4 one_int) };
+    ]
+
+let update_word v =
+  Iw_wire.Diff.Update
+    { serial = 1; runs = [ { Iw_wire.Diff.start_pu = 0; len_pu = 1; payload = one_int v } ] }
+
+(* Minor words one request costs, over [n] read-lock/read-release pairs and
+   [n] write-lock/write-release cycles on a direct link, after a warm-up
+   that has already seen every variant and series involved. *)
+let words_per_request ~metrics n =
+  let t = Iw_server.create () in
+  Iw_metrics.set_enabled (Iw_server.metrics t) metrics;
+  let session = session_of t in
+  let name = "obs/alloc" in
+  let version = ref (seeded_segment t session name) in
+  let cycles n =
+    for i = 1 to n do
+      ignore
+        (call t
+           (Iw_proto.Read_lock
+              { session; name; version = !version; coherence = Iw_proto.Full }));
+      ignore (call t (Iw_proto.Read_release { session; name }));
+      version := write_cycle t session name ~version:!version [ update_word i ]
+    done
+  in
+  cycles 200;
+  let w0 = Gc.minor_words () in
+  cycles n;
+  let words = Gc.minor_words () -. w0 in
+  Iw_server.shutdown t;
+  words /. float_of_int (4 * n)
+
+(* Per-request metrics are budgeted: resolved handles, no label building
+   and no registry lookup once a series exists.  The budget is the gap
+   between the registry on and off, so the flight recorder, the slow log
+   and the protocol values themselves (the same either way) cancel out. *)
+let test_request_alloc_budget () =
+  let n = 2000 in
+  let on = words_per_request ~metrics:true n in
+  let off = words_per_request ~metrics:false n in
+  let added = on -. off in
+  Printf.printf "metrics add %.0f words per request (on %.0f, off %.0f)\n" added on off;
+  if added > 128. then
+    Alcotest.failf "metrics add %.0f words per request (on %.0f, off %.0f); budget 128"
+      added on off
+
+(* Name and histogram count (-1: counter or gauge) of every series
+   [test_series_golden]'s request sequence leaves, as recorded when every
+   observation still looked its instrument up by name. *)
+let golden_series =
+  [
+    ("iw_seg_diff_bytes_saved_total{segment=\"obs/golden\"}", -1);
+    ("iw_seg_staleness_us{segment=\"obs/golden\"}", 1);
+    ("iw_seg_version_lag{segment=\"obs/golden\"}", 5);
+    ("iw_seg_wasted_acquire_total{segment=\"obs/golden\"}", -1);
+    ("iw_seg_wl_wait_us{segment=\"obs/golden\"}", 1);
+    ("iw_server_diff_cache_hits_total", -1);
+    ("iw_server_diff_cache_misses_total", -1);
+    ("iw_server_diffs_applied_total", -1);
+    ("iw_server_diffs_collected_total", -1);
+    ("iw_server_expired_total{phase=\"queue\"}", -1);
+    ("iw_server_expired_total{phase=\"wal\"}", -1);
+    ("iw_server_inflight", -1);
+    ("iw_server_lock_hold_us", 15);
+    ("iw_server_lock_hold_us{segment=\"obs/golden\"}", 14);
+    ("iw_server_lock_hold_us{segment=\"obs/idle\"}", 1);
+    ("iw_server_lock_hold_us{variant=\"open_segment\"}", 2);
+    ("iw_server_lock_hold_us{variant=\"read_lock\"}", 1);
+    ("iw_server_lock_hold_us{variant=\"read_release\"}", 1);
+    ("iw_server_lock_hold_us{variant=\"register_desc\"}", 1);
+    ("iw_server_lock_hold_us{variant=\"subscribe\"}", 1);
+    ("iw_server_lock_hold_us{variant=\"write_lock\"}", 5);
+    ("iw_server_lock_hold_us{variant=\"write_release\"}", 4);
+    ("iw_server_lock_queue_depth", -1);
+    ("iw_server_lock_wait_us", 15);
+    ("iw_server_lock_wait_us{segment=\"obs/golden\"}", 14);
+    ("iw_server_lock_wait_us{segment=\"obs/idle\"}", 1);
+    ("iw_server_lock_wait_us{variant=\"open_segment\"}", 2);
+    ("iw_server_lock_wait_us{variant=\"read_lock\"}", 1);
+    ("iw_server_lock_wait_us{variant=\"read_release\"}", 1);
+    ("iw_server_lock_wait_us{variant=\"register_desc\"}", 1);
+    ("iw_server_lock_wait_us{variant=\"subscribe\"}", 1);
+    ("iw_server_lock_wait_us{variant=\"write_lock\"}", 5);
+    ("iw_server_lock_wait_us{variant=\"write_release\"}", 4);
+    ("iw_server_locks_reclaimed_total", -1);
+    ("iw_server_overload_state", -1);
+    ("iw_server_phase_us{phase=\"decode\"}", 17);
+    ("iw_server_phase_us{phase=\"lock_wait\"}", 17);
+    ("iw_server_phase_us{phase=\"reply\"}", 17);
+    ("iw_server_phase_us{phase=\"service\"}", 17);
+    ("iw_server_phase_us{phase=\"wal\"}", 17);
+    ("iw_server_pred_hits_total", -1);
+    ("iw_server_pred_misses_total", -1);
+    ("iw_server_queue_hwm", -1);
+    ("iw_server_request_total_us", 17);
+    ("iw_server_request_us{variant=\"hello\"}", 2);
+    ("iw_server_request_us{variant=\"open_segment\"}", 2);
+    ("iw_server_request_us{variant=\"read_lock\"}", 1);
+    ("iw_server_request_us{variant=\"read_release\"}", 1);
+    ("iw_server_request_us{variant=\"register_desc\"}", 1);
+    ("iw_server_request_us{variant=\"subscribe\"}", 1);
+    ("iw_server_request_us{variant=\"write_lock\"}", 5);
+    ("iw_server_request_us{variant=\"write_release\"}", 4);
+    ("iw_server_requests_total", -1);
+    ("iw_server_segment_version{segment=\"obs/golden\"}", -1);
+    ("iw_server_segments", -1);
+    ("iw_server_sessions_resumed_total", -1);
+    ("iw_server_shed_total{reason=\"queue_full\"}", -1);
+    ("iw_server_shed_total{reason=\"read_only\"}", -1);
+    ("iw_server_snapshot_reads_total", -1);
+    ("iw_server_version_advances_total", -1);
+  ]
+
+(* The series a fixed request sequence leaves in the server registry: every
+   name, and each histogram's count.  Series appear when first observed,
+   never as zero-count placeholders, and a segment nobody locked has no
+   iw_seg_* series at all. *)
+let test_series_golden () =
+  let t = Iw_server.create () in
+  Iw_metrics.set_enabled (Iw_server.metrics t) true;
+  let s1 = session_of t and s2 = session_of t in
+  let name = "obs/golden" in
+  let v1 = seeded_segment t s1 name in
+  let v2 = write_cycle t s1 name ~version:v1 [ update_word 7 ] in
+  (* Contended write lock: busy while s1 holds it, granted after. *)
+  (match call t (Iw_proto.Write_lock { session = s1; name; version = v2 }) with
+  | Iw_proto.R_granted _ -> ()
+  | _ -> Alcotest.fail "write lock refused");
+  (match call t (Iw_proto.Write_lock { session = s2; name; version = 0 }) with
+  | Iw_proto.R_busy -> ()
+  | _ -> Alcotest.fail "contender not refused");
+  let empty = { Iw_wire.Diff.from_version = v2; to_version = v2; new_descs = []; changes = [] } in
+  ignore (call t (Iw_proto.Write_release { session = s1; name; diff = empty }));
+  ignore (write_cycle t s2 name ~version:0 [ update_word 9 ] : int);
+  (* A stale read lock: one version behind. *)
+  (match
+     call t (Iw_proto.Read_lock { session = s1; name; version = v2; coherence = Iw_proto.Full })
+   with
+  | Iw_proto.R_update _ -> ()
+  | _ -> Alcotest.fail "stale read not updated");
+  ignore (call t (Iw_proto.Read_release { session = s1; name }));
+  ignore (call t (Iw_proto.Subscribe { session = s2; name }));
+  ignore (call t (Iw_proto.Open_segment { session = s2; name = "obs/idle"; create = true }));
+  let got =
+    List.map
+      (fun s ->
+        match s.s_value with
+        | V_hist hv -> (s.s_name, hv.hv_count)
+        | V_counter _ | V_gauge _ -> (s.s_name, -1))
+      (snapshot (Iw_server.metrics t))
+  in
+  Iw_server.shutdown t;
+  Alcotest.(check (list (pair string int))) "series and histogram counts" golden_series got
+
 (* Mutates the process environment, so this must run last in the suite:
    registries created later would see the override. *)
 let test_env_policy () =
@@ -308,5 +504,7 @@ let suite =
       Alcotest.test_case "server stats codec" `Quick test_server_stats_roundtrip;
       Alcotest.test_case "server stats live" `Quick test_server_stats_live;
       Alcotest.test_case "framed byte accounting" `Quick test_framed_byte_accounting;
+      Alcotest.test_case "request alloc budget" `Quick test_request_alloc_budget;
+      Alcotest.test_case "series golden" `Quick test_series_golden;
       Alcotest.test_case "env policy" `Quick test_env_policy;
     ] )

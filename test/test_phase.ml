@@ -61,7 +61,7 @@ let test_stats_accumulation () =
   t := !t +. 0.003;
   Iw_phase.leave tm Iw_phase.Service;
   let stats = Iw_phase.create_stats () in
-  Iw_phase.record stats ~variant:"read_lock" ~total_us:(Iw_phase.total_us tm) tm;
+  Iw_phase.record stats (Iw_phase.variant stats "read_lock") ~total_us:(Iw_phase.total_us tm) tm;
   checkf "decode sum" 1000. (Iw_phase.phase_sum_us stats Iw_phase.Decode);
   checkf "service sum" 3000. (Iw_phase.phase_sum_us stats Iw_phase.Service);
   checkf "wal sum" 0. (Iw_phase.phase_sum_us stats Iw_phase.Wal);

@@ -182,6 +182,25 @@ let test_slowlog_disabled () =
   observe_lat t 99.;
   Alcotest.(check int) "k=0 keeps nothing" 0 (List.length (SL.snapshot t))
 
+(* The top K restarts with each window: after a roll, requests faster than
+   every survivor of the full previous window are admitted again, and a
+   snapshot still shows the previous window next to the new one. *)
+let test_slowlog_window_roll () =
+  let window_s = 0.2 in
+  let t0 = Unix.gettimeofday () in
+  let t = SL.create ~k:2 ~window_s () in
+  List.iter (observe_lat t) [ 50.; 60.; 70. ];
+  Unix.sleepf (window_s *. 1.25);
+  List.iter (observe_lat t) [ 5.; 6.; 7. ];
+  let lats = List.map (fun e -> e.SL.e_latency_us) (SL.snapshot t) in
+  let elapsed = Unix.gettimeofday () -. t0 in
+  Alcotest.(check (list (float 1e-9))) "new window keeps its own 2 slowest" [ 7.; 6. ]
+    (List.filter (fun l -> l < 10.) lats);
+  (* Past two windows of silence the previous window is dropped as stale;
+     short of that it must still be there. *)
+  if elapsed < 2. *. window_s then
+    Alcotest.(check (list (float 1e-9))) "previous window kept" [ 70.; 60.; 7.; 6. ] lats
+
 let suite =
   ( "ycsb",
     [
@@ -190,4 +209,6 @@ let suite =
       Alcotest.test_case "slowlog top-K and ordering" `Quick test_slowlog_topk;
       Alcotest.test_case "slowlog min_us pre-filter" `Quick test_slowlog_min_us;
       Alcotest.test_case "slowlog k=0 disabled" `Quick test_slowlog_disabled;
+      Alcotest.test_case "slowlog top-K across a window roll" `Quick
+        test_slowlog_window_roll;
     ] )
