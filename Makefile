@@ -1,4 +1,4 @@
-.PHONY: all build test check bench-json model race bench-compare clean
+.PHONY: all build test check bench-json model race bench-compare loc clean
 
 all: build
 
@@ -31,6 +31,13 @@ model:
 # Lock-discipline lint over lib/ and bin/ (LCK001-LCK004), warnings fatal.
 race:
 	dune exec bin/iw_check.exe -- --race --Werror lib bin
+
+# .ml/.mli line totals per source tree; diff two checkouts' output to state a
+# change's net line delta.
+loc:
+	@for d in lib bin bench test; do \
+	  printf '%-6s %6d\n' $$d $$(find $$d -name '*.ml' -o -name '*.mli' | xargs cat | wc -l); \
+	done
 
 clean:
 	dune clean

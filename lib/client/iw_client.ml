@@ -1,5 +1,5 @@
-module Serial_tree = Iw_avl.Make (Int)
-module Name_tree = Iw_avl.Make (String)
+module Serial_tree = Map.Make (Int)
+module Name_tree = Map.Make (String)
 
 type addr = Iw_mem.addr
 
@@ -122,6 +122,10 @@ type seg = {
   (* Blocks freed this critical section.  Their memory is only released at
      commit, so an abort can resurrect them. *)
   g_pending_frees : (int, Iw_mem.block) Hashtbl.t;
+  (* Blocks reserved from segment metadata and not yet filled by a Create,
+     with the server version that metadata described.  An update reaching
+     that version without a Create means the block died in between. *)
+  g_placeholders : (int, int) Hashtbl.t;
   mutable g_pred : Iw_mem.block option;  (* apply-side last-block prediction *)
   mutable g_subscribed : bool;
   mutable g_uptodate_streak : int;  (* consecutive wasted polls; drives auto-subscribe *)
@@ -617,7 +621,7 @@ let refresh_meta g =
   match
     call g.g_client (Iw_proto.Segment_meta { session = g.g_client.c_session; name = g.g_name })
   with
-  | Iw_proto.R_meta { version = _; descs; blocks } ->
+  | Iw_proto.R_meta { version; descs; blocks } ->
     List.iter
       (fun (serial, d) ->
         Iw_types.Registry.adopt g.g_registry serial d;
@@ -625,11 +629,13 @@ let refresh_meta g =
       descs;
     List.iter
       (fun (mb : Iw_proto.meta_block) ->
-        if not (Serial_tree.mem mb.mb_serial g.g_blocks) then
+        if not (Serial_tree.mem mb.mb_serial g.g_blocks) then begin
           ignore
             (reserve_block g ~serial:mb.mb_serial ~name:mb.mb_name
                ~desc_serial:mb.mb_desc_serial
-              : Iw_mem.block))
+              : Iw_mem.block);
+          Hashtbl.replace g.g_placeholders mb.mb_serial version
+        end)
       blocks
   | _ -> error "unexpected response to Segment_meta"
 
@@ -689,6 +695,7 @@ let open_segment ?(create = true) c name =
         g_full_streak = 0;
         g_created = Hashtbl.create 8;
         g_pending_frees = Hashtbl.create 8;
+        g_placeholders = Hashtbl.create 8;
         g_pred = None;
         g_subscribed = false;
         g_uptodate_streak = 0;
@@ -854,6 +861,7 @@ let seg_observe_wl_wait g us =
 
 let apply_create g ~unswizzle (serial, name, desc_serial, payload) =
   let c = g.g_client in
+  Hashtbl.remove g.g_placeholders serial;
   let b =
     match Serial_tree.find_opt serial g.g_blocks with
     | Some b ->
@@ -895,9 +903,7 @@ let apply_update g ~unswizzle (serial, runs) =
      matches the server's version-list order for first-cached layouts
      (paper, Sec. 3.3). *)
   g.g_pred <-
-    (match Serial_tree.succ serial g.g_blocks with
-    | Some (_, nb) -> Some nb
-    | None -> None);
+    Option.map snd (Serial_tree.find_first_opt (fun k -> k > serial) g.g_blocks);
   let lay = b.Iw_mem.b_layout in
   let pcount = Iw_types.layout_prim_count lay in
   let arch = arch c in
@@ -910,6 +916,20 @@ let apply_update g ~unswizzle (serial, runs) =
           Iw_wire.apply_prims (Iw_wire.Reader.of_string run.payload) arch lay bytes ~base
             ~from:run.start_pu ~upto ~unswizzle)
         runs)
+
+let release_dead_placeholders g version =
+  Hashtbl.filter_map_inplace
+    (fun serial v ->
+      if v > version then Some v
+      else begin
+        (match Serial_tree.find_opt serial g.g_blocks with
+        | Some b ->
+          forget_block g b;
+          Iw_mem.free_block b
+        | None -> ());
+        None
+      end)
+    g.g_placeholders
 
 let apply_diff_plain g (diff : Iw_wire.Diff.t) =
   let c = g.g_client in
@@ -937,6 +957,7 @@ let apply_diff_plain g (diff : Iw_wire.Diff.t) =
         | None -> () (* freed before we ever cached it *)
       end)
     diff.changes;
+  if Hashtbl.length g.g_placeholders > 0 then release_dead_placeholders g diff.to_version;
   g.g_version <- diff.to_version;
   g.g_valid <- true;
   c.c_stats.apply_seconds <- c.c_stats.apply_seconds +. (now () -. t0)

@@ -2,7 +2,7 @@ type addr = int
 
 let page_size = 4096
 
-module Addr_tree = Iw_avl.Make (Int)
+module Addr_tree = Map.Make (Int)
 
 type space = {
   sp_arch : Iw_arch.t;
@@ -78,7 +78,7 @@ let heap_bytes h =
 let heap_blocks h =
   let blocks =
     List.concat_map
-      (fun ss -> List.map snd (Addr_tree.to_list ss.ss_blocks))
+      (fun ss -> List.map snd (Addr_tree.bindings ss.ss_blocks))
       h.h_subsegs
   in
   List.sort (fun a b -> compare a.b_addr b.b_addr) blocks
@@ -109,7 +109,7 @@ let grow_heap h size =
   ss
 
 let subseg_of_addr sp a =
-  match Addr_tree.floor a sp.sp_subsegs with
+  match Addr_tree.find_last_opt (fun k -> k <= a) sp.sp_subsegs with
   | Some (_, ss) when a < ss.ss_base + Bytes.length ss.ss_bytes -> Some ss
   | Some _ | None -> None
 
@@ -203,32 +203,22 @@ let free_block b =
   ss.ss_blocks <- Addr_tree.remove b.b_addr ss.ss_blocks;
   release_range b.b_heap (b.b_addr, b.b_size)
 
+(* [free_block] drops a block from [ss_blocks] as it sets [b_freed], so every
+   block the index yields is live. *)
 let find_block sp a =
   match subseg_of_addr sp a with
   | None -> None
   | Some ss -> begin
-    match Addr_tree.floor a ss.ss_blocks with
-    | Some (_, b) when (not b.b_freed) && a < b.b_addr + b.b_size ->
-      Some (b, a - b.b_addr)
+    match Addr_tree.find_last_opt (fun k -> k <= a) ss.ss_blocks with
+    | Some (_, b) when a < b.b_addr + b.b_size -> Some (b, a - b.b_addr)
     | Some _ | None -> None
   end
 
 let next_block sp a =
   match subseg_of_addr sp a with
   | None -> None
-  | Some ss -> begin
-    match Addr_tree.ceiling a ss.ss_blocks with
-    | Some (_, b) when not b.b_freed -> Some b
-    | Some (addr, _) -> begin
-      (* Freed block still in tree cannot happen (removed on free), but a
-         ceiling hit on a live block is the common case; fall through via
-         successor for safety. *)
-      match Addr_tree.succ addr ss.ss_blocks with
-      | Some (_, b) when not b.b_freed -> Some b
-      | Some _ | None -> None
-    end
-    | None -> None
-  end
+  | Some ss ->
+    Option.map snd (Addr_tree.find_first_opt (fun k -> k >= a) ss.ss_blocks)
 
 let destroy_heap h =
   let sp = h.h_space in

@@ -91,10 +91,9 @@ let total_us t = (now t -. t.acc.(start_at)) *. 1e6
 
 type stats = {
   mutex : Mutex.t;
-  error : float;
   by_phase : Iw_hist.t array;  (* all variants merged *)
   total : Iw_hist.t;
-  by_variant : (string, Iw_hist.t array) Hashtbl.t;
+  by_variant : (string, float array) Hashtbl.t;  (* exact exclusive us per phase *)
   mutable sums : float array;  (* exact exclusive us per phase *)
   mutable total_sum : float;
 }
@@ -102,7 +101,6 @@ type stats = {
 let create_stats ?(error = 0.01) () =
   {
     mutex = Mutex.create ();
-    error;
     by_phase = Array.init n_phases (fun _ -> Iw_hist.create ~error ());
     total = Iw_hist.create ~error ();
     by_variant = Hashtbl.create 16;
@@ -114,14 +112,14 @@ let locked s f =
   Mutex.lock s.mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock s.mutex) f
 
-type variant = Iw_hist.t array
+type variant = float array
 
 let variant s name =
   locked s (fun () ->
       match Hashtbl.find_opt s.by_variant name with
       | Some a -> a
       | None ->
-        let a = Array.init n_phases (fun _ -> Iw_hist.create ~error:s.error ()) in
+        let a = Array.make n_phases 0. in
         Hashtbl.add s.by_variant name a;
         a)
 
@@ -132,7 +130,7 @@ let record s per_var ~total_us t =
   for i = 0 to n_phases - 1 do
     let us = t.acc.(i) *. 1e6 in
     Iw_hist.record s.by_phase.(i) us;
-    Iw_hist.record per_var.(i) us;
+    per_var.(i) <- per_var.(i) +. us;
     s.sums.(i) <- s.sums.(i) +. us
   done;
   Iw_hist.record s.total total_us;
@@ -147,11 +145,9 @@ let phase_sum_us s p = locked s (fun () -> s.sums.(index p))
 
 let total_sum_us s = locked s (fun () -> s.total_sum)
 
-let variant_summary s variant p =
+let variant_sum_us s variant p =
   locked s (fun () ->
-      match Hashtbl.find_opt s.by_variant variant with
-      | None -> None
-      | Some a -> Some (Iw_hist.summary a.(index p)))
+      Option.map (fun a -> a.(index p)) (Hashtbl.find_opt s.by_variant variant))
 
 let variants s =
   locked s (fun () ->

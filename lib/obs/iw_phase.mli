@@ -16,8 +16,8 @@
     (connection thread → shard worker → connection thread) as long as each
     handoff synchronizes through a mutex or condition variable, which the
     shard mailbox does; only one thread touches the timer at a time.  Finished timers are folded into a {!stats} accumulator
-    (internally locked) holding per-phase and per-(variant, phase)
-    {!Iw_hist} histograms, which is what the ycsb bench's [phase] section
+    (internally locked) holding per-phase {!Iw_hist} histograms and exact
+    per-(variant, phase) sums, which is what the ycsb bench's [phase] section
     and the acceptance check ("phases sum to within 10% of total") read. *)
 
 type phase =
@@ -83,20 +83,20 @@ val create_stats : ?error:float -> unit -> stats
     error bound (default [0.01]).  Thread-safe. *)
 
 type variant
-(** One request variant's per-phase accumulators. *)
+(** One request variant's exact per-phase sums. *)
 
 val variant : stats -> string -> variant
 (** The named variant's accumulators, created on first call (idempotent:
     every call for a name returns the same value).  A variant exists for
-    {!variants} and {!variant_summary} from its first call, so resolve it
+    {!variants} and {!variant_sum_us} from its first call, so resolve it
     just before its first {!record}; a hot caller resolves it once and
     keeps it. *)
 
 val record : stats -> variant -> total_us:float -> timer -> unit
 (** Fold one finished request in: each phase's exclusive time lands in the
-    per-phase and per-(variant, phase) histograms, [total_us] in the total
-    histogram.  Phases with zero accumulated time are recorded too — their
-    zeros keep per-phase counts comparable to the total count.  One mutex
+    per-phase histogram and the variant's per-phase sum, [total_us] in the
+    total histogram.  Phases with zero accumulated time are recorded too —
+    their zeros keep per-phase counts comparable to the total count.  One mutex
     acquisition; no allocation beyond the recorded floats. *)
 
 val phase_summary : stats -> phase -> Iw_hist.summary
@@ -109,7 +109,8 @@ val phase_sum_us : stats -> phase -> float
 
 val total_sum_us : stats -> float
 
-val variant_summary : stats -> string -> phase -> Iw_hist.summary option
-(** Per-variant breakdown; [None] if the variant was never recorded. *)
+val variant_sum_us : stats -> string -> phase -> float option
+(** Exact accumulated exclusive microseconds for one variant's [phase];
+    [None] if the variant was never resolved. *)
 
 val variants : stats -> string list

@@ -1,5 +1,5 @@
-module Serial_tree = Iw_avl.Make (Int)
-module Version_tree = Iw_avl.Make (Int)
+module Serial_tree = Map.Make (Int)
+module Version_tree = Map.Make (Int)
 
 let subblock_units = 16
 
@@ -138,7 +138,7 @@ type t = {
   t_metrics : Iw_metrics.t;
   t_flight : Iw_flight.t;
   t_slowlog : Iw_slowlog.t;
-  t_phase : Iw_phase.stats;  (* per-(variant, phase) exact histograms *)
+  t_phase : Iw_phase.stats;  (* per-phase histograms, per-(variant, phase) sums *)
   t_request_us : Iw_metrics.histogram Iw_metrics.slot array;
       (* iw_server_request_us{variant=...}, by Iw_proto.request_variant_index *)
   t_phase_variant : Iw_phase.variant Iw_metrics.slot array;  (* same index *)
@@ -528,7 +528,7 @@ let apply_diff t seg (diff : Iw_wire.Diff.t) =
 let collect_changes t sh seg ~since =
   t.t_stats.diffs_collected <- t.t_stats.diffs_collected + 1;
   let start =
-    match Version_tree.ceiling (since + 1) seg.s_markers with
+    match Version_tree.find_first_opt (fun v -> v > since) seg.s_markers with
     | Some (_, marker) -> marker
     | None -> seg.s_tail
   in
@@ -2214,7 +2214,7 @@ let response_version : Iw_proto.response -> int = function
 (* Fold one finished request's phase timer into the observability state:
    per-phase registry histograms (exact sums, conservative quantiles — what
    the contention view and the BENCH coverage check read), the exact
-   per-(variant, phase) Iw_hist accumulator, the end-to-end total
+   per-(variant, phase) sums, the end-to-end total
    histogram, and a lazy ring roll.  Called by serve_conn after the reply
    frame is written (so the reply phase is included) and by [handle] itself
    for direct links, which have no transport phases. *)

@@ -217,10 +217,11 @@ val slowlog : t -> Iw_slowlog.t
     {!Iw_proto.Slow_log} request and rendered by [iw-admin slowlog]. *)
 
 val phase_stats : t -> Iw_phase.stats
-(** This server's request-lifecycle phase accumulator: exact per-phase and
-    per-(variant, phase) {!Iw_hist} histograms of exclusive time in decode,
-    lock-wait, service, WAL, and reply-write, plus the end-to-end total —
-    what the ycsb bench's [phase] BENCH section reads on embedded runs.
+(** This server's request-lifecycle phase accumulator: per-phase
+    {!Iw_hist} histograms and exact per-(variant, phase) sums of exclusive
+    time in decode, lock-wait, service, WAL, and reply-write, plus the
+    end-to-end total — what the ycsb bench's [phase] BENCH section reads
+    on embedded runs.
     The same decomposition is exported through the registry as
     [iw_server_phase_us{phase="..."}] and [iw_server_request_total_us]
     (exact sums, bucketed quantiles), served by [Server_stats], and its

@@ -277,6 +277,31 @@ let test_coherence_getter () =
   set_coherence h (Proto.Delta 7);
   Alcotest.(check bool) "updated" true (Client.coherence h = Proto.Delta 7)
 
+(* A block created and freed between a reader's [open_segment] and its first
+   read lock appears in neither a Create nor a Free of the reader's update
+   from version 0, so the space reserved for it from segment metadata must be
+   released once the reader catches up to the metadata's version. *)
+let test_placeholder_released () =
+  let server = start_server () in
+  let a = direct_client server and b = direct_client server in
+  let ha = open_segment a "cl/placeholder" in
+  let keep, x = with_write_lock ha (fun () -> (malloc ha Desc.int, malloc ha Desc.int)) in
+  let serial_of p = (fst (Option.get (Client.block_of_addr a p))).Mem.b_serial in
+  let serial = serial_of x in
+  let hb = open_segment ~create:false b "cl/placeholder" in
+  let placeholder =
+    match Client.find_block hb ~serial with
+    | Some blk -> blk
+    | None -> Alcotest.fail "open_segment reserved no space for the block"
+  in
+  with_write_lock ha (fun () -> free a x);
+  with_read_lock hb (fun () -> ());
+  Alcotest.(check bool) "freed block forgotten" true (Client.find_block hb ~serial = None);
+  Alcotest.(check bool) "freed block unmapped" true
+    (Client.block_of_addr b placeholder.Mem.b_addr = None);
+  Alcotest.(check (list int)) "live block kept" [ serial_of keep ]
+    (List.map (fun blk -> blk.Mem.b_serial) (Client.blocks hb))
+
 (* Randomized convergence: a writer performs random typed writes; after each
    critical section a reader must see an identical byte-for-byte view
    (modulo architecture layout) of every primitive. *)
@@ -361,5 +386,6 @@ let suite =
       Alcotest.test_case "free then allocate" `Quick test_free_then_allocate_propagates;
       Alcotest.test_case "ephemeral block" `Quick test_malloc_free_same_cs_invisible;
       Alcotest.test_case "coherence getter" `Quick test_coherence_getter;
+      Alcotest.test_case "placeholder released" `Quick test_placeholder_released;
       QCheck_alcotest.to_alcotest prop_random_convergence;
     ] )

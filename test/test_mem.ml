@@ -278,6 +278,87 @@ let prop_diff_matches_word_scan =
       Iw_mem.with_raw sp b.Iw_mem.b_addr (fun bytes off ->
           runs = word_scan_ref ~gap ~base:(b.Iw_mem.b_addr - off) bytes))
 
+(* [find_block] and [next_block] against a list of live blocks, after every
+   step of random allocs and frees over two heaps whose subsegments
+   interleave in one space.  Probes sit on block edges, one past them, in
+   freed gaps, below the first subsegment and at random addresses; the
+   subsegment extent that bounds [next_block] is read back through
+   [with_raw]. *)
+let prop_block_lookup_matches_model =
+  QCheck.Test.make ~name:"find_block/next_block match a list model" ~count:100
+    QCheck.(
+      pair
+        (list_of_size Gen.(int_range 1 40) (triple bool (int_bound 1) (int_range 1 1500)))
+        (list_of_size Gen.(int_range 0 20) (int_bound (1 lsl 19))))
+    (fun (ops, randoms) ->
+      let sp = Iw_mem.create_space Iw_arch.x86_32 in
+      let heaps = [| Iw_mem.create_heap sp ~seg_id:1; Iw_mem.create_heap sp ~seg_id:2 |] in
+      let live = ref [] and gaps = ref [] and serial = ref 0 in
+      let subseg a =
+        match Iw_mem.with_raw sp a (fun bytes off -> (off, Bytes.length bytes)) with
+        | off, len when off < 0 || off >= len ->
+          QCheck.Test.fail_reportf "with_raw %d: offset %d outside its subsegment" a off
+        | off, len -> Some (a - off, a - off + len)
+        | exception Invalid_argument _ -> None
+      in
+      let model_find a =
+        List.find_map
+          (fun (b : Iw_mem.block) ->
+            if b.b_addr <= a && a < b.b_addr + b.b_size then Some (b.b_serial, a - b.b_addr)
+            else None)
+          !live
+      in
+      let model_next a =
+        match subseg a with
+        | None -> None
+        | Some (_, limit) ->
+          List.filter (fun (b : Iw_mem.block) -> a <= b.b_addr && b.b_addr < limit) !live
+          |> List.sort (fun (x : Iw_mem.block) y -> compare x.b_addr y.b_addr)
+          |> List.map (fun (b : Iw_mem.block) -> b.b_serial)
+          |> function [] -> None | s :: _ -> Some s
+      in
+      let check () =
+        List.iter
+          (fun (b : Iw_mem.block) ->
+            match subseg b.b_addr with
+            | Some (_, limit) when b.b_addr + b.b_size <= limit -> ()
+            | _ -> QCheck.Test.fail_reportf "block %d spans subsegments" b.b_serial)
+          !live;
+        let edges =
+          List.concat_map
+            (fun (b : Iw_mem.block) ->
+              [ b.b_addr - 1; b.b_addr; b.b_addr + b.b_size - 1; b.b_addr + b.b_size ])
+            !live
+        in
+        List.iter
+          (fun a ->
+            let found =
+              Option.map
+                (fun ((b : Iw_mem.block), off) -> (b.b_serial, off))
+                (Iw_mem.find_block sp a)
+            and next = Option.map (fun (b : Iw_mem.block) -> b.b_serial) (Iw_mem.next_block sp a) in
+            if found <> model_find a then QCheck.Test.fail_reportf "find_block %d" a;
+            if next <> model_next a then QCheck.Test.fail_reportf "next_block %d" a)
+          ((0 :: (Iw_mem.page_size - 1) :: edges) @ !gaps @ randoms)
+      in
+      List.iter
+        (fun (alloc, h, n) ->
+          (match !live with
+          | _ :: _ when not alloc ->
+            let b = List.nth !live (n mod List.length !live) in
+            Iw_mem.free_block b;
+            live := List.filter (fun x -> x != b) !live;
+            gaps := b.Iw_mem.b_addr :: (b.Iw_mem.b_addr + b.Iw_mem.b_size - 1) :: !gaps
+          | _ ->
+            incr serial;
+            let b =
+              Iw_mem.alloc heaps.(h) ~serial:!serial ~desc_serial:1 (int_lay Iw_arch.x86_32 n)
+            in
+            live := b :: !live);
+          check ())
+        ops;
+      true)
+
 let suite =
   ( "mem",
     [
@@ -297,4 +378,5 @@ let suite =
       Alcotest.test_case "next_block" `Quick test_next_block;
       QCheck_alcotest.to_alcotest prop_diff_finds_exact_words;
       QCheck_alcotest.to_alcotest prop_diff_matches_word_scan;
+      QCheck_alcotest.to_alcotest prop_block_lookup_matches_model;
     ] )

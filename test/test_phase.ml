@@ -77,10 +77,10 @@ let test_stats_accumulation () =
         (Iw_phase.phase_summary stats p).Iw_hist.sm_count)
     Iw_phase.phases;
   Alcotest.(check (list string)) "variants" [ "read_lock" ] (Iw_phase.variants stats);
-  (match Iw_phase.variant_summary stats "read_lock" Iw_phase.Service with
-  | Some s -> Alcotest.(check int) "variant service count" 1 s.Iw_hist.sm_count
-  | None -> Alcotest.fail "variant summary missing");
-  (match Iw_phase.variant_summary stats "nope" Iw_phase.Service with
+  (match Iw_phase.variant_sum_us stats "read_lock" Iw_phase.Service with
+  | Some us -> checkf "variant service sum" 3000. us
+  | None -> Alcotest.fail "variant sum missing");
+  (match Iw_phase.variant_sum_us stats "nope" Iw_phase.Service with
   | None -> ()
   | Some _ -> Alcotest.fail "phantom variant")
 
